@@ -36,6 +36,9 @@ let kernels ?json ~jobs () =
      way — only the timings move. *)
   let pool = if jobs > 1 then Some (Mlpart_util.Pool.get ~jobs) else None in
   let stage name f = Test.make ~name (Staged.stage f) in
+  let engine ?(k = 2) algo h () =
+    ignore (algo.Algos.run ~tolerance:0.1 (Rng.split rng) h ~k)
+  in
   (* Refinement-only kernel: the hierarchy and coarsest-level solution are
      built once, so the staged function times exactly the uncoarsening
      sweep (project + engine run per level) that the FM engine dominates.
@@ -63,11 +66,9 @@ let kernels ?json ~jobs () =
     Test.make_grouped ~name:"kernels"
       [
         (* Table II kernel: one FM run with LIFO buckets. *)
-        stage "table2/fm-lifo" (fun () ->
-            ignore (Algos.fm.Algos.run (Rng.split rng) balu));
+        stage "table2/fm-lifo" (engine Algos.flat_fm balu);
         (* Table III kernel: one CLIP run. *)
-        stage "table3/clip" (fun () ->
-            ignore (Algos.clip.Algos.run (Rng.split rng) balu));
+        stage "table3/clip" (engine Algos.flat_clip balu);
         (* Table IV kernel: one multilevel MLc run at R = 1, with the
            domain pool threaded into the run itself. *)
         stage "table4/mlc" (fun () ->
@@ -75,17 +76,13 @@ let kernels ?json ~jobs () =
               (Ml.run ~config:(Ml.with_ratio Ml.mlc 1.0) ?pool (Rng.split rng)
                  balu));
         (* Tables V/VI kernel: slow coarsening (R = 0.33). *)
-        stage "table5_6/mlc-r0.33" (fun () ->
-            ignore ((Algos.mlc 0.33).Algos.run (Rng.split rng) balu));
+        stage "table5_6/mlc-r0.33" (engine (Algos.mlc 0.33) balu);
         (* Table VII kernel: lookahead engine. *)
-        stage "table7/cl-la3f" (fun () ->
-            ignore (Algos.cl_la3f.Algos.run (Rng.split rng) balu));
+        stage "table7/cl-la3f" (engine Algos.cl_la3f balu);
         (* Table VIII kernel: PROP engine (the heap-based slowdown). *)
-        stage "table8/cl-prf" (fun () ->
-            ignore (Algos.cl_prf.Algos.run (Rng.split rng) balu));
+        stage "table8/cl-prf" (engine Algos.cl_prf balu);
         (* Table IX kernel: multilevel quadrisection. *)
-        stage "table9/ml-4way" (fun () ->
-            ignore (Algos.q_mlf.Algos.qrun (Rng.split rng) primary1));
+        stage "table9/ml-4way" (engine ~k:4 (Algos.multiway 1.0) primary1);
         (* Figure 4 kernel: Match coarsening at R = 0.5. *)
         stage "figure4/match" (fun () ->
             ignore
@@ -148,8 +145,7 @@ let kernels ?json ~jobs () =
       (* Phase breakdown of one MLc run on balu rides along with the kernel
          timings, so the per-phase trajectory is tracked across PRs too.
          The breakdown is derived from Trace spans — the same timing source
-         chrome://tracing exports use — keeping the JSON keys byte-identical
-         to the old Timer-based output. *)
+         chrome://tracing exports use. *)
       let module Trace = Mlpart_obs.Trace in
       let module Ml = Mlpart_multilevel.Ml in
       Trace.enable ();

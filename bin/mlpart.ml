@@ -24,8 +24,8 @@ module Rng = Mlpart_util.Rng
 module Pool = Mlpart_util.Pool
 module Diag = Mlpart_util.Diag
 module Deadline = Mlpart_util.Deadline
-module Fm = Mlpart_partition.Fm
-module Ml = Mlpart_multilevel.Ml
+module Multistart = Mlpart_util.Multistart
+module Algos = Mlpart_experiments.Algos
 module Trace = Mlpart_obs.Trace
 module Metrics = Mlpart_obs.Metrics
 module Json = Mlpart_obs.Json
@@ -178,51 +178,6 @@ let obs_setup trace metrics =
       Metrics.enable ();
       at_exit (fun () -> Metrics.export_to_file path)
 
-(* Run [one] over [runs] pre-split generator streams — across a domain pool
-   when [jobs > 1] — and keep the best result by [cut_of], ties to the
-   lowest run index.  A deadline is polled between sequential runs or
-   between pool waves; the completed prefix is a deterministic prefix of
-   the untimed schedule, and at least one run always completes. *)
-let best_over_runs ?deadline ~runs ~jobs rng one cut_of =
-  let runs = Stdlib.max 1 runs in
-  let rngs = Array.init runs (fun _ -> Rng.split rng) in
-  let results =
-    match deadline with
-    | None ->
-        if jobs <= 1 || runs = 1 then Array.map one rngs
-        else
-          Pool.with_pool ~jobs:(Stdlib.min jobs runs) (fun pool ->
-              Pool.map pool one rngs)
-    | Some dl ->
-        let wave = if runs = 1 then 1 else Stdlib.max 1 (Stdlib.min jobs runs) in
-        let with_pool f =
-          if wave = 1 then f None
-          else Pool.with_pool ~jobs:wave (fun pool -> f (Some pool))
-        in
-        with_pool (fun pool ->
-            let acc = ref [] in
-            let completed = ref 0 in
-            while
-              !completed < runs && (!completed = 0 || not (Deadline.check dl))
-            do
-              let n = Stdlib.min wave (runs - !completed) in
-              let batch = Array.sub rngs !completed n in
-              let res =
-                match pool with
-                | Some pool when n > 1 -> Pool.map pool one batch
-                | _ -> Array.map one batch
-              in
-              acc := res :: !acc;
-              completed := !completed + n
-            done;
-            Array.concat (List.rev !acc))
-  in
-  let best = ref results.(0) in
-  for i = 1 to Array.length results - 1 do
-    if cut_of results.(i) < cut_of !best then best := results.(i)
-  done;
-  (!best, Array.length results)
-
 let ratio_arg =
   Arg.(value & opt float 0.5
        & info [ "r"; "ratio" ] ~docv:"R" ~doc:"Matching ratio in (0,1]; smaller = slower coarsening, more levels.")
@@ -235,31 +190,15 @@ let tolerance_arg =
   Arg.(value & opt float 0.1
        & info [ "tolerance" ] ~docv:"R" ~doc:"Balance tolerance r (paper uses 0.1).")
 
-let engine_arg =
-  let parse = function
-    | "fm" -> Ok `Fm
-    | "clip" -> Ok `Clip
-    | "flat-fm" -> Ok `Flat_fm
-    | "flat-clip" -> Ok `Flat_clip
-    | "eig" -> Ok `Eig
-    | "eig-fm" -> Ok `Eig_fm
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
+(* [--engine] takes one of [names], each an entry of the engine registry
+   ([Algos.find]). *)
+let engine_arg ~names ~default ~doc =
+  let parse s =
+    if List.mem s names then Ok s
+    else Error (`Msg (Printf.sprintf "unknown engine %S" s))
   in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | `Fm -> "fm"
-      | `Clip -> "clip"
-      | `Flat_fm -> "flat-fm"
-      | `Flat_clip -> "flat-clip"
-      | `Eig -> "eig"
-      | `Eig_fm -> "eig-fm")
-  in
-  Arg.(value & opt (conv (parse, print)) `Clip
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Refinement engine: clip (default), fm, flat-fm/flat-clip to \
-                 skip the multilevel hierarchy, or eig/eig-fm for spectral \
-                 bisection.")
+  Arg.(value & opt (conv (parse, Format.pp_print_string)) default
+       & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let out_arg =
   Arg.(value & opt (some string) None
@@ -273,59 +212,61 @@ let write_assignment out side =
       Out_channel.with_open_text path (fun oc ->
           Array.iter (fun s -> Printf.fprintf oc "%d\n" s) side)
 
+(* The partitioning subcommands share one path: load the netlist, run the
+   registry engine as the best of [runs] seeded starts, print, write the
+   assignment, and flag an expired --timeout. *)
+let partition ~input ~seed ~runs ~jobs ~tolerance ~lenient ~timeout ~out ~k
+    (engine : Algos.t) print =
+  let h = load_hypergraph ~lenient input seed in
+  if not (Algos.accepts engine k) then
+    usage_fail "--engine %s needs %s (got %d)" engine.Algos.name
+      (Algos.arity_doc engine.Algos.arity) k;
+  let deadline = deadline_of timeout in
+  (* A single run can't fan out across runs, so hand the domains to the
+     run itself; the ML pipeline's synchronous rounds keep the result
+     identical to --jobs 1. *)
+  let intra_pool =
+    if runs <= 1 && jobs > 1 then Some (Pool.get ~jobs) else None
+  in
+  let start rng = engine.Algos.run ?pool:intra_pool ~tolerance rng h ~k in
+  let best pool =
+    Multistart.best ?pool ?deadline ~starts:runs ~cut:snd start
+      (Rng.create seed)
+  in
+  let (side, cut), completed =
+    if runs > 1 && jobs > 1 then
+      Pool.with_pool ~jobs:(Stdlib.min jobs runs) (fun pool -> best (Some pool))
+    else best None
+  in
+  print h side cut;
+  write_assignment out side;
+  finish_timed_out deadline
+    (Printf.sprintf "timed out after %d of %d run(s); best-so-far reported"
+       completed (Stdlib.max 1 runs))
+
 let bipartition_cmd =
   let run input seed runs jobs ratio threshold tolerance engine out lenient
       timeout trace metrics =
     obs_setup trace metrics;
     boundary @@ fun () ->
-    let h = load_hypergraph ~lenient input seed in
-    let rng = Rng.create seed in
-    let deadline = deadline_of timeout in
-    let fm_config base = { base with Fm.tolerance } in
-    (* A single run can't fan out across runs, so hand the domains to the
-       run itself; the ML pipeline's synchronous rounds keep the result
-       identical to --jobs 1. *)
-    let intra_pool =
-      if runs <= 1 && jobs > 1 then Some (Pool.get ~jobs) else None
-    in
-    let one rng =
-      match engine with
-      | `Flat_fm ->
-          let r = Fm.run ~config:(fm_config Fm.default) rng h in
-          (r.Fm.side, r.Fm.cut)
-      | `Flat_clip ->
-          let r = Fm.run ~config:(fm_config Fm.clip) rng h in
-          (r.Fm.side, r.Fm.cut)
-      | `Eig ->
-          let r = Mlpart_placement.Spectral.run h in
-          (r.Mlpart_placement.Spectral.side, r.Mlpart_placement.Spectral.cut)
-      | `Eig_fm ->
-          let r =
-            Mlpart_placement.Spectral.run
-              ~config:Mlpart_placement.Spectral.eig_fm h
-          in
-          (r.Mlpart_placement.Spectral.side, r.Mlpart_placement.Spectral.cut)
-      | `Fm | `Clip ->
-          let base = if engine = `Fm then Ml.mlf else Ml.mlc in
-          let config =
-            { base with Ml.ratio; threshold;
-              engine = fm_config base.Ml.engine }
-          in
-          let r = Ml.run ~config ?pool:intra_pool rng h in
-          (r.Ml.side, r.Ml.cut)
-    in
-    let (side, cut), completed = best_over_runs ?deadline ~runs ~jobs rng one snd in
-    let areas = [| 0; 0 |] in
-    Array.iteri (fun v s -> areas.(s) <- areas.(s) + H.area h v) side;
-    Printf.printf "%s: cut %d  |X|=%d |Y|=%d (areas %d/%d)\n"
-      (H.name h) cut
-      (Array.fold_left (fun acc s -> acc + (1 - s)) 0 side)
-      (Array.fold_left ( + ) 0 side)
-      areas.(0) areas.(1);
-    write_assignment out side;
-    finish_timed_out deadline
-      (Printf.sprintf "timed out after %d of %d run(s); best-so-far reported"
-         completed (Stdlib.max 1 runs))
+    partition ~input ~seed ~runs ~jobs ~tolerance ~lenient ~timeout ~out ~k:2
+      (Option.get (Algos.find ~ratio ~threshold engine))
+      (fun h side cut ->
+        let areas = [| 0; 0 |] in
+        Array.iteri (fun v s -> areas.(s) <- areas.(s) + H.area h v) side;
+        Printf.printf "%s: cut %d  |X|=%d |Y|=%d (areas %d/%d)\n"
+          (H.name h) cut
+          (Array.fold_left (fun acc s -> acc + (1 - s)) 0 side)
+          (Array.fold_left ( + ) 0 side)
+          areas.(0) areas.(1))
+  in
+  let engine_arg =
+    engine_arg
+      ~names:[ "fm"; "clip"; "flat-fm"; "flat-clip"; "eig"; "eig-fm" ]
+      ~default:"clip"
+      ~doc:"Refinement engine: clip (default), fm, flat-fm/flat-clip to \
+            skip the multilevel hierarchy, or eig/eig-fm for spectral \
+            bisection."
   in
   let term =
     Term.(const run $ input_arg $ seed_arg $ runs_arg $ jobs_arg $ ratio_arg
@@ -339,35 +280,17 @@ let quadrisect_cmd =
       trace metrics =
     obs_setup trace metrics;
     boundary @@ fun () ->
-    let h = load_hypergraph ~lenient input seed in
-    let rng = Rng.create seed in
-    let deadline = deadline_of timeout in
     if gordian then begin
+      let h = load_hypergraph ~lenient input seed in
       let r = Mlpart_placement.Gordian.run h in
       Printf.printf "%s: GORDIAN 4-way cut %d, hpwl %.3f\n" (H.name h)
         r.Mlpart_placement.Gordian.cut r.Mlpart_placement.Gordian.hpwl;
       write_assignment out r.Mlpart_placement.Gordian.side
     end
-    else begin
-      let module MLW = Mlpart_multilevel.Ml_multiway in
-      let config =
-        { MLW.default with
-          MLW.ratio;
-          engine = { Mlpart_partition.Multiway.default with tolerance } }
-      in
-      let one rng =
-        let r = MLW.run ~config rng h ~k:4 in
-        (r.MLW.side, r.MLW.cut)
-      in
-      let (side, cut), completed =
-        best_over_runs ?deadline ~runs ~jobs rng one snd
-      in
-      Printf.printf "%s: ML 4-way cut %d\n" (H.name h) cut;
-      write_assignment out side;
-      finish_timed_out deadline
-        (Printf.sprintf "timed out after %d of %d run(s); best-so-far reported"
-           completed (Stdlib.max 1 runs))
-    end
+    else
+      partition ~input ~seed ~runs ~jobs ~tolerance ~lenient ~timeout ~out ~k:4
+        (Algos.multiway ratio)
+        (fun h _side cut -> Printf.printf "%s: ML 4-way cut %d\n" (H.name h) cut)
   in
   let gordian_arg =
     Arg.(value & flag
@@ -388,73 +311,25 @@ let kpartition_cmd =
     obs_setup trace metrics;
     boundary @@ fun () ->
     if k < 2 then usage_fail "-k must be >= 2 (got %d)" k;
-    let h = load_hypergraph ~lenient input seed in
-    let rng = Rng.create seed in
-    let deadline = deadline_of timeout in
-    let name, one =
-      match engine with
-      | `Nlevel ->
-          let module N = Mlpart_multilevel.Nlevel in
-          let config = { N.default with N.tolerance } in
-          ( "nlevel",
-            fun rng ->
-              let r = N.run ~config rng h ~k in
-              (r.N.side, r.N.cut) )
-      | `Rb ->
-          if k land (k - 1) <> 0 then
-            usage_fail "--engine rb needs a power-of-two k (got %d)" k;
-          let module Rb = Mlpart_multilevel.Rb in
-          ( "rb",
-            fun rng ->
-              let r = Rb.run rng h ~k in
-              (r.Rb.side, r.Rb.cut) )
-      | `Multiway ->
-          let module MLW = Mlpart_multilevel.Ml_multiway in
-          let config =
-            { MLW.default with
-              MLW.engine = { Mlpart_partition.Multiway.default with tolerance }
-            }
-          in
-          ( "multiway",
-            fun rng ->
-              let r = MLW.run ~config rng h ~k in
-              (r.MLW.side, r.MLW.cut) )
-    in
-    let (side, cut), completed = best_over_runs ?deadline ~runs ~jobs rng one snd in
-    let part_areas = Array.make k 0 in
-    Array.iteri (fun v p -> part_areas.(p) <- part_areas.(p) + H.area h v) side;
-    Printf.printf "%s: %s %d-way cut %d (areas %s)\n" (H.name h) name k cut
-      (String.concat "/"
-         (Array.to_list (Array.map string_of_int part_areas)));
-    write_assignment out side;
-    finish_timed_out deadline
-      (Printf.sprintf "timed out after %d of %d run(s); best-so-far reported"
-         completed (Stdlib.max 1 runs))
+    partition ~input ~seed ~runs ~jobs ~tolerance ~lenient ~timeout ~out ~k
+      (Option.get (Algos.find engine))
+      (fun h side cut ->
+        let part_areas = Array.make k 0 in
+        Array.iteri (fun v p -> part_areas.(p) <- part_areas.(p) + H.area h v) side;
+        Printf.printf "%s: %s %d-way cut %d (areas %s)\n" (H.name h) engine k cut
+          (String.concat "/"
+             (Array.to_list (Array.map string_of_int part_areas))))
   in
   let k_arg =
     Arg.(value & opt int 4
          & info [ "k" ] ~docv:"K" ~doc:"Number of parts (>= 2).")
   in
   let kengine_arg =
-    let parse = function
-      | "nlevel" -> Ok `Nlevel
-      | "rb" -> Ok `Rb
-      | "multiway" -> Ok `Multiway
-      | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-    in
-    let print ppf e =
-      Format.pp_print_string ppf
-        (match e with
-        | `Nlevel -> "nlevel"
-        | `Rb -> "rb"
-        | `Multiway -> "multiway")
-    in
-    Arg.(value & opt (conv (parse, print)) `Nlevel
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Direct k-way engine: nlevel (default; one-pair-at-a-time \
-                   contraction with a persistent gain cache), rb (recursive \
-                   bisection, power-of-two k only), or multiway (level-batched \
-                   multilevel with Sanchis-style k-way FM).")
+    engine_arg ~names:[ "nlevel"; "rb"; "multiway" ] ~default:"nlevel"
+      ~doc:"Direct k-way engine: nlevel (default; one-pair-at-a-time \
+            contraction with a persistent gain cache), rb (recursive \
+            bisection, power-of-two k only), or multiway (level-batched \
+            multilevel with Sanchis-style k-way FM)."
   in
   let term =
     Term.(const run $ input_arg $ seed_arg $ runs_arg $ jobs_arg $ k_arg

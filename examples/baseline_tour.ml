@@ -15,15 +15,16 @@ module Rng = Mlpart_util.Rng
 module Stats = Mlpart_util.Stats
 module Algos = Mlpart_experiments.Algos
 
+(* Registry names in historical order ([clip] is MLc, at R = 0.5 below). *)
 let lineage =
   [
-    ("KL  (1970)", Algos.kl);
-    ("FM  (1982)", Algos.fm);
-    ("EIG (1992)", Algos.eig);
-    ("CLIP (1996)", Algos.clip);
-    ("GA-FM (1994)", Algos.ga_fm);
-    ("2-phase", Algos.two_phase);
-    ("ML  (1997)", Algos.mlc 0.5);
+    ("KL  (1970)", "kl");
+    ("FM  (1982)", "flat-fm");
+    ("EIG (1992)", "eig");
+    ("CLIP (1996)", "flat-clip");
+    ("GA-FM (1994)", "ga-fm");
+    ("2-phase", "two-phase");
+    ("ML  (1997)", "clip");
   ]
 
 let () =
@@ -34,12 +35,13 @@ let () =
     Mlpart_hypergraph.Hypergraph.pp_summary h runs;
   let rows =
     List.map
-      (fun (label, algo) ->
+      (fun (label, name) ->
+        let algo = Option.get (Algos.find ~ratio:0.5 name) in
         let rng = Rng.create 17 in
         let stats = Stats.create () in
         let start = Sys.time () in
         for _ = 1 to runs do
-          let _, cut = algo.Algos.run (Rng.split rng) h in
+          let _, cut = algo.Algos.run ~tolerance:0.1 (Rng.split rng) h ~k:2 in
           Stats.add stats (float_of_int cut)
         done;
         [

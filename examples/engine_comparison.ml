@@ -1,44 +1,12 @@
-(* Engine comparison: exercise every iterative-improvement engine in the
-   library on one circuit — the menu of §II of the paper.
+(* Engine comparison: bipartition one circuit with every engine of the
+   registry that accepts k = 2 — the menu of §II of the paper, the
+   multilevel drivers and the k-way engines run at k = 2.
 
    Run with:  dune exec examples/engine_comparison.exe -- [circuit] [runs] *)
 
 module Rng = Mlpart_util.Rng
 module Stats = Mlpart_util.Stats
-module Fm = Mlpart_partition.Fm
-module Prop = Mlpart_partition.Prop
-module Lsmc = Mlpart_partition.Lsmc
-module Gain_bucket = Mlpart_partition.Gain_bucket
-module Ml = Mlpart_multilevel.Ml
-
-let engines =
-  [
-    ("FM (LIFO)", fun rng h -> (Fm.run rng h).Fm.cut);
-    ("FM (FIFO)",
-     fun rng h ->
-       (Fm.run ~config:{ Fm.default with policy = Gain_bucket.Fifo } rng h).Fm.cut);
-    ("FM (random)",
-     fun rng h ->
-       (Fm.run ~config:{ Fm.default with policy = Gain_bucket.Random } rng h)
-         .Fm.cut);
-    ("CLIP", fun rng h -> (Fm.run ~config:Fm.clip rng h).Fm.cut);
-    ("CLIP + LA3",
-     fun rng h ->
-       (Fm.run ~config:{ Fm.clip with tie_break = Fm.Lookahead 3 } rng h).Fm.cut);
-    ("CDIP",
-     fun rng h ->
-       (Fm.run ~config:{ Fm.clip with backtrack = Some (64, 8) } rng h).Fm.cut);
-    ("PROP", fun rng h -> (Prop.run rng h).Prop.cut);
-    ("CL-PR",
-     fun rng h -> (Prop.run ~config:{ Prop.default with clip = true } rng h).Prop.cut);
-    ("LSMC(10)",
-     fun rng h ->
-       (Lsmc.run ~config:{ Lsmc.default with descents = 10 } rng h).Lsmc.cut);
-    ("MLf (R=0.5)",
-     fun rng h -> (Ml.run ~config:(Ml.with_ratio Ml.mlf 0.5) rng h).Ml.cut);
-    ("MLc (R=0.5)",
-     fun rng h -> (Ml.run ~config:(Ml.with_ratio Ml.mlc 0.5) rng h).Ml.cut);
-  ]
+module Algos = Mlpart_experiments.Algos
 
 let () =
   let circuit = if Array.length Sys.argv > 1 then Sys.argv.(1) else "primary1" in
@@ -49,21 +17,26 @@ let () =
   Format.printf "circuit: %a, %d runs/engine@."
     Mlpart_hypergraph.Hypergraph.pp_summary h runs;
   let rows =
-    List.map
-      (fun (name, run) ->
-        let rng = Rng.create 11 in
-        let stats = Stats.create () in
-        let start = Sys.time () in
-        for _ = 1 to runs do
-          Stats.add stats (float_of_int (run (Rng.split rng) h))
-        done;
-        [
-          name;
-          string_of_int (int_of_float (Stats.min stats));
-          Printf.sprintf "%.1f" (Stats.mean stats);
-          Printf.sprintf "%.1f" (Stats.stddev stats);
-          Printf.sprintf "%.2f" (Sys.time () -. start);
-        ])
-      engines
+    List.filter_map
+      (fun algo ->
+        if not (Algos.accepts algo 2) then None
+        else begin
+          let rng = Rng.create 11 in
+          let stats = Stats.create () in
+          let start = Sys.time () in
+          for _ = 1 to runs do
+            let _, cut = algo.Algos.run ~tolerance:0.1 (Rng.split rng) h ~k:2 in
+            Stats.add stats (float_of_int cut)
+          done;
+          Some
+            [
+              algo.Algos.name;
+              string_of_int (int_of_float (Stats.min stats));
+              Printf.sprintf "%.1f" (Stats.mean stats);
+              Printf.sprintf "%.1f" (Stats.stddev stats);
+              Printf.sprintf "%.2f" (Sys.time () -. start);
+            ]
+        end)
+      (Algos.all ~ratio:0.5 ())
   in
   Mlpart_util.Tab.print ~header:[ "engine"; "min"; "avg"; "std"; "cpu (s)" ] rows

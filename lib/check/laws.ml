@@ -1,16 +1,15 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Rng = Mlpart_util.Rng
 module Bp = Mlpart_partition.Bipartition
-module Kp = Mlpart_partition.Kpartition
 module Fm = Mlpart_partition.Fm
 module Objective = Mlpart_partition.Objective
-module Multiway = Mlpart_partition.Multiway
 module Match = Mlpart_multilevel.Match
 module Ml = Mlpart_multilevel.Ml
 module Rb = Mlpart_multilevel.Rb
 module Nlevel = Mlpart_multilevel.Nlevel
 module Gain_cache = Mlpart_partition.Gain_cache
 module Pool = Mlpart_util.Pool
+module Algos = Mlpart_experiments.Algos
 
 open Property
 
@@ -26,162 +25,121 @@ let unconstrained h = { Bp.lo = 0; hi = H.total_area h }
 
 let random_side rng n = Array.init n (fun _ -> Rng.int rng 2)
 
-(* ---- oracle properties ---- *)
+(* ---- oracle properties, one per registry entry ---- *)
+
+(* Threshold 4 makes the multilevel entries coarsen through real levels
+   even on these tiny instances. *)
+let engines = Algos.all ~threshold:4 ()
+
+(* Instance k: one the engine accepts whose k^n assignments fit the
+   oracle's 2^18 budget (k = 2 always fits at <= 16 modules); drawn from
+   [rng] only when there is a choice. *)
+let draw_k engine rng n =
+  match
+    List.filter
+      (fun k ->
+        Algos.accepts engine k
+        && (k = 2 || (k = 3 && n <= 11) || (k = 4 && n <= 9)))
+      [ 2; 3; 4 ]
+  with
+  | [] -> None
+  | [ k ] -> Some k
+  | ks -> Some (List.nth ks (Rng.int rng (List.length ks)))
+
+(* The enumerated optimum over the engine's feasible set: inside the
+   paper's 2-way bounds when the engine promises them, unconstrained
+   otherwise. *)
+let optimum ?fixed (engine : Algos.t) h ~k =
+  if k = 2 then
+    Oracle.bipartition ?fixed
+      ~bounds:(if engine.Algos.balanced then Bp.bounds h else unconstrained h)
+      h
+  else Oracle.kway ~k h
+
+let unbalanced h side =
+  let bounds = Bp.bounds h in
+  let area0 = ref 0 in
+  Array.iteri (fun v s -> if s = 0 then area0 := !area0 + H.area h v) side;
+  if !area0 < bounds.Bp.lo || !area0 > bounds.Bp.hi then
+    Some
+      (Printf.sprintf "side-0 area %d outside balance bounds [%d, %d]" !area0
+         bounds.Bp.lo bounds.Bp.hi)
+  else None
+
+let recount_mismatch h ~k side cut =
+  let recount = (Objective.evaluate h side).Objective.net_cut in
+  if cut <> recount then
+    Some (Printf.sprintf "reported %d-way cut %d but recount is %d" k cut recount)
+  else None
 
 (* Reported cut must equal an [Objective] recount; a balanced engine must
    land inside the paper's bounds and then beat no feasible assignment;
-   an unbounded engine (KL) is held to the unconstrained optimum. *)
-let oracle_law (engine : Engines.t) (spec, seed) =
+   an unbounded engine is held to the unconstrained optimum. *)
+let oracle_law (engine : Algos.t) (spec, seed) =
   let h = Hgen.build spec in
-  let r = engine.Engines.run (Rng.create seed) h in
-  let report = Objective.evaluate h r.Engines.side in
-  if r.Engines.cut <> report.Objective.net_cut then
-    failf "reported cut %d but recount is %d" r.Engines.cut
-      report.Objective.net_cut
-  else begin
-    let bounds = if engine.Engines.balanced then Bp.bounds h else unconstrained h in
-    let area0 =
-      Array.fold_left ( + ) 0
-        (Array.mapi
-           (fun v s -> if s = 0 then H.area h v else 0)
-           r.Engines.side)
-    in
-    if engine.Engines.balanced && (area0 < bounds.Bp.lo || area0 > bounds.Bp.hi)
-    then
-      failf "side-0 area %d outside balance bounds [%d, %d]" area0 bounds.Bp.lo
-        bounds.Bp.hi
-    else
-      match Oracle.bipartition ~bounds h with
-      | None -> failf "engine returned a solution on an infeasible instance"
-      | Some opt ->
-          if r.Engines.cut < opt.Oracle.cut then
-            failf "cut %d beats the enumerated optimum %d (impossible)"
-              r.Engines.cut opt.Oracle.cut
-          else Pass
-  end
+  let rng = Rng.create seed in
+  match draw_k engine rng (H.num_modules h) with
+  | None -> Skip
+  | Some k -> (
+      let side, cut = engine.Algos.run ~tolerance:0.1 rng h ~k in
+      match recount_mismatch h ~k side cut with
+      | Some msg -> Fail msg
+      | None -> (
+          match if engine.Algos.balanced then unbalanced h side else None with
+          | Some msg -> Fail msg
+          | None -> (
+              match optimum engine h ~k with
+              | None -> failf "engine returned a solution on an infeasible instance"
+              | Some opt when cut < opt.Oracle.cut ->
+                  failf "%d-way cut %d beats the enumerated optimum %d (impossible)"
+                    k cut opt.Oracle.cut
+              | Some _ -> Pass)))
 
-let oracle_property engine =
+(* Pinned modules must survive to the output — through every level of a
+   multilevel run — and the optimum is taken over assignments honouring
+   them. *)
+let fixed_law (engine : Algos.t) (spec, seed) =
+  let h = Hgen.build spec in
+  let n = H.num_modules h in
+  let rng = Rng.create seed in
+  let fixed = Array.make n (-1) in
+  let perm = Rng.permutation rng n in
+  let count = Rng.int rng ((n / 3) + 1) in
+  for i = 0 to count - 1 do
+    fixed.(perm.(i)) <- i land 1
+  done;
+  match optimum ~fixed engine h ~k:2 with
+  | None -> Skip
+  | Some opt -> (
+      let side, cut = engine.Algos.run ~fixed ~tolerance:0.1 rng h ~k:2 in
+      let bad = ref None in
+      Array.iteri
+        (fun v f -> if f >= 0 && side.(v) <> f && !bad = None then bad := Some v)
+        fixed;
+      match !bad with
+      | Some v ->
+          failf "module %d was pinned to %d but ended on side %d" v fixed.(v)
+            side.(v)
+      | None -> (
+          match recount_mismatch h ~k:2 side cut with
+          | Some msg -> Fail msg
+          | None when cut < opt.Oracle.cut ->
+              failf "cut %d beats the pinned optimum %d" cut opt.Oracle.cut
+          | None -> Pass))
+
+let engine_property prefix law (engine : Algos.t) =
   Packed
     {
-      name = "oracle/" ^ engine.Engines.name;
+      name = prefix ^ engine.Algos.name;
       gen = seeded Hgen.instance;
       show = show_seeded;
-      law = oracle_law engine;
-    }
-
-(* FM with pinned modules: the pins must survive to the output, and the
-   optimum is taken over assignments honouring them. *)
-let fm_fixed =
-  Packed
-    {
-      name = "oracle/fm-fixed";
-      gen = seeded Hgen.instance;
-      show = show_seeded;
-      law =
-        (fun (spec, seed) ->
-          let h = Hgen.build spec in
-          let n = H.num_modules h in
-          let rng = Rng.create seed in
-          let fixed = Array.make n (-1) in
-          let perm = Rng.permutation rng n in
-          let count = Rng.int rng ((n / 3) + 1) in
-          for i = 0 to count - 1 do
-            fixed.(perm.(i)) <- i land 1
-          done;
-          let bounds = Bp.bounds h in
-          match Oracle.bipartition ~fixed ~bounds h with
-          | None -> Skip
-          | Some opt -> (
-              let r = Engines.fm.Engines.run ~fixed rng h in
-              let bad = ref None in
-              Array.iteri
-                (fun v f ->
-                  if f >= 0 && r.Engines.side.(v) <> f && !bad = None then
-                    bad := Some v)
-                fixed;
-              match !bad with
-              | Some v ->
-                  failf "module %d was pinned to %d but ended on side %d" v
-                    fixed.(v) r.Engines.side.(v)
-              | None ->
-                  let report = Objective.evaluate h r.Engines.side in
-                  if r.Engines.cut <> report.Objective.net_cut then
-                    failf "reported cut %d but recount is %d" r.Engines.cut
-                      report.Objective.net_cut
-                  else if r.Engines.cut < opt.Oracle.cut then
-                    failf "cut %d beats the fixed-respecting optimum %d"
-                      r.Engines.cut opt.Oracle.cut
-                  else Pass));
-    }
-
-(* Quadrisection against the exhaustive 4-way oracle (hence the tight
-   module cap: 4^n assignments). *)
-let multiway_oracle =
-  Packed
-    {
-      name = "oracle/multiway";
-      gen = seeded (Hgen.small_instance ~max_modules:7);
-      show = show_seeded;
-      law =
-        (fun (spec, seed) ->
-          let h = Hgen.build spec in
-          let n = H.num_modules h in
-          if n < 4 then Skip
-          else begin
-            let r = Multiway.run (Rng.create seed) h ~k:4 in
-            let report = Objective.evaluate h r.Multiway.side in
-            if r.Multiway.cut <> report.Objective.net_cut then
-              failf "reported 4-way cut %d but recount is %d" r.Multiway.cut
-                report.Objective.net_cut
-            else
-              match Oracle.kway ~k:4 h with
-              | None -> failf "unconstrained 4-way oracle found nothing"
-              | Some opt ->
-                  if r.Multiway.cut < opt.Oracle.cut then
-                    failf "4-way cut %d beats the optimum %d" r.Multiway.cut
-                      opt.Oracle.cut
-                  else Pass
-          end);
-    }
-
-(* The n-level engine against the exhaustive k-way oracle, with k drawn
-   from whatever the 2^18 enumeration budget allows at the instance's
-   module count (k = 2 always fits at <= 16 modules). *)
-let nlevel_oracle =
-  Packed
-    {
-      name = "oracle/nlevel";
-      gen = seeded Hgen.instance;
-      show = show_seeded;
-      law =
-        (fun (spec, seed) ->
-          let h = Hgen.build spec in
-          let n = H.num_modules h in
-          let rng = Rng.create seed in
-          let ks =
-            List.filter
-              (fun k -> k = 2 || (k = 3 && n <= 11) || (k = 4 && n <= 9))
-              [ 2; 3; 4 ]
-          in
-          let k = List.nth ks (Rng.int rng (List.length ks)) in
-          let r = Nlevel.run rng h ~k in
-          let report = Objective.evaluate h r.Nlevel.side in
-          if r.Nlevel.cut <> report.Objective.net_cut then
-            failf "reported %d-way cut %d but recount is %d" k r.Nlevel.cut
-              report.Objective.net_cut
-          else
-            match Oracle.kway ~k h with
-            | None -> failf "unconstrained %d-way oracle found nothing" k
-            | Some opt ->
-                if r.Nlevel.cut < opt.Oracle.cut then
-                  failf "%d-way cut %d beats the optimum %d" k r.Nlevel.cut
-                    opt.Oracle.cut
-                else Pass);
+      law = law engine;
     }
 
 let oracle_properties =
-  List.map oracle_property Engines.all
-  @ [ oracle_property Engines.ml; fm_fixed; multiway_oracle; nlevel_oracle ]
+  List.map (engine_property "oracle/" oracle_law) engines
+  @ List.map (engine_property "fixed/" fixed_law)
+      (List.filter (fun e -> e.Algos.fixed && Algos.accepts e 2) engines)
 
 (* ---- metamorphic laws ---- *)
 
@@ -324,50 +282,6 @@ let coarsen_project =
             failf "coarse cut %d <> projected fine cut %d (merge=%b)"
               coarse_cut fine_cut merge
           else Pass);
-    }
-
-(* Pinned modules must survive a full multilevel run — coarsening,
-   the coarsest-level partition, projection and every refinement pass
-   (threshold 4 forces real levels even on tiny instances). *)
-let fixed_levels =
-  Packed
-    {
-      name = "laws/fixed-levels";
-      gen = seeded Hgen.instance;
-      show = show_seeded;
-      law =
-        (fun (spec, seed) ->
-          let h = Hgen.build spec in
-          let n = H.num_modules h in
-          let rng = Rng.create seed in
-          let fixed = Array.make n (-1) in
-          let perm = Rng.permutation rng n in
-          let count = Rng.int rng ((n / 3) + 1) in
-          for i = 0 to count - 1 do
-            fixed.(perm.(i)) <- i land 1
-          done;
-          match Oracle.bipartition ~fixed ~bounds:(Bp.bounds h) h with
-          | None -> Skip
-          | Some opt ->
-              let r = Engines.ml.Engines.run ~fixed rng h in
-              let bad = ref None in
-              Array.iteri
-                (fun v f ->
-                  if f >= 0 && r.Engines.side.(v) <> f && !bad = None then
-                    bad := Some v)
-                fixed;
-              (match !bad with
-              | Some v ->
-                  failf "module %d was pinned to %d but ended on side %d" v
-                    fixed.(v) r.Engines.side.(v)
-              | None ->
-                  if r.Engines.cut <> Fm.cut_of h r.Engines.side then
-                    failf "reported cut %d but recount is %d" r.Engines.cut
-                      (Fm.cut_of h r.Engines.side)
-                  else if r.Engines.cut < opt.Oracle.cut then
-                    failf "cut %d beats the pinned optimum %d" r.Engines.cut
-                      opt.Oracle.cut
-                  else Pass));
     }
 
 (* V-cycles refine the solution of a plain run and may never lose. *)
@@ -589,7 +503,6 @@ let law_properties =
     weight_scale;
     merge_duplicates;
     coarsen_project;
-    fixed_levels;
     vcycle_monotone;
     jobs_invariance;
     repair_idempotent;

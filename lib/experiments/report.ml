@@ -1,7 +1,6 @@
 module Rng = Mlpart_util.Rng
 module Stats = Mlpart_util.Stats
 module Pool = Mlpart_util.Pool
-module H = Mlpart_hypergraph.Hypergraph
 
 type measurement = {
   min_cut : int;
@@ -14,21 +13,22 @@ type measurement = {
 (* Per-run generators are pre-split from the master seed so results do not
    depend on how the runs are scheduled across domains; the shared pool is
    spawned once and reused across every measurement with the same job
-   count. *)
-let measure_generic ?(jobs = 1) ~runs ~seed h run verify =
+   count.  Runs use the paper's balance tolerance r = 0.1, and [cpu] is
+   processor time ([Sys.time]), the paper's CPU-seconds column. *)
+let measure ?(jobs = 1) ?(k = 2) ~runs ~seed h (algo : Algos.t) =
   let master = Rng.create seed in
   let rngs = Array.init runs (fun _ -> Rng.split master) in
   let one rng =
-    let side, cut = run rng h in
-    assert (verify h side = cut);
+    let side, cut = algo.Algos.run ~tolerance:0.1 rng h ~k in
+    assert (Mlpart_partition.Multiway.cut_of h ~k side = cut);
     cut
   in
-  let start = Mlpart_util.Timer.now () in
+  let start = Sys.time () in
   let cuts =
     if jobs <= 1 || runs <= 1 then Array.map one rngs
     else Pool.map (Pool.get ~jobs:(Stdlib.min jobs runs)) one rngs
   in
-  let cpu = Mlpart_util.Timer.now () -. start in
+  let cpu = Sys.time () -. start in
   let stats = Stats.create () in
   Array.iter (fun cut -> Stats.add stats (float_of_int cut)) cuts;
   {
@@ -38,13 +38,6 @@ let measure_generic ?(jobs = 1) ~runs ~seed h run verify =
     cpu;
     runs;
   }
-
-let measure ?jobs ~runs ~seed h (algo : Algos.bipartitioner) =
-  measure_generic ?jobs ~runs ~seed h algo.Algos.run Mlpart_partition.Fm.cut_of
-
-let measure_quad ?jobs ~runs ~seed h (algo : Algos.quadrisector) =
-  measure_generic ?jobs ~runs ~seed h algo.Algos.qrun
-    (Mlpart_partition.Multiway.cut_of ~k:4)
 
 let cell = function None -> "-" | Some v -> string_of_int v
 let fcell = function None -> "-" | Some v -> Printf.sprintf "%.1f" v

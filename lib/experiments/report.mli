@@ -12,26 +12,19 @@ type measurement = {
 
 val measure :
   ?jobs:int ->
+  ?k:int ->
   runs:int ->
   seed:int ->
   Mlpart_hypergraph.Hypergraph.t ->
-  Algos.bipartitioner ->
+  Algos.t ->
   measurement
-(** Run a bipartitioner [runs] times with independent generators derived
-    from [seed]; every run's cut is verified against a from-scratch
-    recount.  [jobs > 1] spreads the runs over that many domains (OCaml 5
-    parallelism); the per-run generators are pre-split from [seed] first,
-    so the statistics are identical for any job count.  The [cpu] field
-    stays the summed processor time. *)
-
-val measure_quad :
-  ?jobs:int ->
-  runs:int ->
-  seed:int ->
-  Mlpart_hypergraph.Hypergraph.t ->
-  Algos.quadrisector ->
-  measurement
-(** Same for 4-way algorithms. *)
+(** Run an engine [runs] times into [k] parts (default 2) with independent
+    generators derived from [seed], at the paper's tolerance r = 0.1;
+    every run's cut is verified against a from-scratch recount.  [jobs > 1]
+    spreads the runs over that many domains (OCaml 5 parallelism); the
+    per-run generators are pre-split from [seed] first, so the statistics
+    are identical for any job count.  The [cpu] field stays the summed
+    processor time. *)
 
 val cell : int option -> string
 (** Render an optional published value ("-" when the paper leaves the cell

@@ -42,7 +42,9 @@ let table2 p =
     List.map
       (fun spec ->
         let h = Suite.instantiate ~seed:p.seed spec in
-        let ms = run_row p h [ Algos.fm; Algos.fm_fifo; Algos.fm_random ] in
+        let ms =
+          run_row p h [ Algos.flat_fm; Algos.flat_fm_fifo; Algos.flat_fm_random ]
+        in
         let paper = Paper.table2 spec.Suite.circuit in
         let pcell f = match paper with None -> "-" | Some row -> f row in
         match ms with
@@ -71,7 +73,7 @@ let table3 p =
     List.map
       (fun spec ->
         let h = Suite.instantiate ~seed:p.seed spec in
-        match run_row p h [ Algos.fm; Algos.clip ] with
+        match run_row p h [ Algos.flat_fm; Algos.flat_clip ] with
         | [ fm; cl ] ->
             let paper = Paper.table3 spec.Suite.circuit in
             let pcell f = match paper with None -> "-" | Some row -> f row in
@@ -98,7 +100,7 @@ let table4 p =
     List.map
       (fun spec ->
         let h = Suite.instantiate ~seed:p.seed spec in
-        match run_row p h [ Algos.clip; Algos.mlf 1.0; Algos.mlc 1.0 ] with
+        match run_row p h [ Algos.flat_clip; Algos.mlf 1.0; Algos.mlc 1.0 ] with
         | [ cl; mf; mc ] ->
             let paper = Paper.table4 spec.Suite.circuit in
             let pcell f = match paper with None -> "-" | Some row -> f row in
@@ -215,8 +217,8 @@ let table9 p =
     (protocol_note p
     ^ "\nGORDIAN column: our analytic-placement reimplementation.");
   let quads =
-    [ Algos.q_mlf; Algos.q_gordian; Algos.q_fm; Algos.q_clip; Algos.q_lsmc_f;
-      Algos.q_lsmc_c ]
+    [ Algos.multiway 1.0; Algos.gordian; Algos.flat_kway_fm;
+      Algos.flat_kway_soed; Algos.lsmc_kway_fm; Algos.lsmc_kway_soed ]
   in
   let rows =
     List.map
@@ -225,10 +227,8 @@ let table9 p =
         let ms =
           List.map
             (fun algo ->
-              let runs =
-                if algo.Algos.qname = "GORDIAN" then 1 else p.runs
-              in
-              Report.measure_quad ~jobs:p.jobs ~runs ~seed:p.seed h algo)
+              let runs = if algo == Algos.gordian then 1 else p.runs in
+              Report.measure ~jobs:p.jobs ~k:4 ~runs ~seed:p.seed h algo)
             quads
         in
         let paper = Paper.table9 spec.Suite.circuit in
@@ -315,14 +315,10 @@ let ablations p =
         let h = Suite.instantiate ~seed:p.seed spec in
         List.map
           (fun (label, config) ->
-            let algo =
-              { Algos.name = label;
-                run =
-                  (fun rng h ->
-                    let r = Ml.run ~config rng h in
-                    (r.Ml.side, r.Ml.cut)) }
+            let m =
+              Report.measure ~jobs:p.jobs ~runs:p.runs ~seed:p.seed h
+                (Algos.ml label config)
             in
-            let m = Report.measure ~jobs:p.jobs ~runs:p.runs ~seed:p.seed h algo in
             [ spec.Suite.circuit; label; i m.Report.min_cut; f1 m.Report.avg_cut;
               Tab.ff2 m.Report.cpu ])
           variants)
@@ -403,11 +399,10 @@ let extras p =
         let h = Suite.instantiate ~seed:p.seed spec in
         let ms =
           List.map
-            (fun (algo : Algos.bipartitioner) ->
+            (fun algo ->
               (* deterministic algorithms need a single run *)
               let runs =
-                if algo.Algos.name = "EIG" || algo.Algos.name = "EIG+FM" then 1
-                else p.runs
+                if algo == Algos.eig || algo == Algos.eig_fm then 1 else p.runs
               in
               Report.measure ~jobs:p.jobs ~runs ~seed:p.seed h algo)
             algos

@@ -1,7 +1,6 @@
 module H = Mlpart_hypergraph.Hypergraph
-module Rng = Mlpart_util.Rng
 module Pool = Mlpart_util.Pool
-module Deadline = Mlpart_util.Deadline
+module Multistart = Mlpart_util.Multistart
 module Trace = Mlpart_obs.Trace
 module Metrics = Mlpart_obs.Metrics
 module Fm = Mlpart_partition.Fm
@@ -13,7 +12,6 @@ let log_src = Logs.Src.create "mlpart.ml" ~doc:"multilevel driver traces"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let m_runs = Metrics.counter "ml.runs"
-let m_starts = Metrics.counter "ml.starts"
 let m_vcycles = Metrics.counter "ml.vcycles"
 
 type config = {
@@ -62,40 +60,22 @@ let coarsen ?(config = mlf) rng h =
 let project cluster_of coarse_side =
   Array.map (fun c -> coarse_side.(c)) cluster_of
 
-(* Pick the lowest cut; index order breaks ties, so the winner does not
-   depend on how a pool scheduled the candidates. *)
-let best_of results =
-  let best = ref results.(0) in
-  for i = 1 to Array.length results - 1 do
-    if results.(i).Fm.cut < !best.Fm.cut then best := results.(i)
-  done;
-  !best
-
 (* Partition the coarsest netlist (steps 6 of Figure 2), optionally from an
-   initial solution, with multi-start as the §V extension.  Starts draw
-   from generators pre-split from [rng] — one split per start regardless
-   of [pool] — so the result is identical for any pool size, including the
-   sequential [None].  Sequential starts share [arena]; pooled starts let
-   each Fm.run create its own (arenas are domain-local), which is
-   bit-identical anyway. *)
+   initial solution, with multi-start as the §V extension.  Sequential
+   starts share [arena]; pooled starts let each Fm.run create its own
+   (arenas are domain-local), which is bit-identical anyway. *)
 let partition_coarsest config ?init ?fixed ?pool ?arena rng coarsest =
   let starts = Stdlib.max 1 config.coarsest_starts in
   if starts = 1 then Fm.run ~config:config.engine ?init ?fixed ?arena rng coarsest
   else begin
-    let rngs = Array.init starts (fun _ -> Rng.split rng) in
-    let results =
-      match pool with
-      | Some pool when Pool.size pool > 1 ->
-          Pool.map pool
-            (fun rng -> Fm.run ~config:config.engine ?init ?fixed rng coarsest)
-            rngs
-      | Some _ | None ->
-          Array.map
-            (fun rng ->
-              Fm.run ~config:config.engine ?init ?fixed ?arena rng coarsest)
-            rngs
+    let arena =
+      match pool with Some p when Pool.size p > 1 -> None | Some _ | None -> arena
     in
-    best_of results
+    fst
+      (Multistart.best ?pool ~starts
+         ~cut:(fun r -> r.Fm.cut)
+         (fun rng -> Fm.run ~config:config.engine ?init ?fixed ?arena rng coarsest)
+         rng)
   end
 
 (* Uncoarsening: project and refine level by level (steps 7-9).  One arena
@@ -245,87 +225,3 @@ let run_vcycles ?(config = mlf) ?fixed ?pool ?arena ~cycles rng h =
     end
   done;
   { first with side = !side; cut = !cut }
-
-(* One multistart attempt, wrapped in its span; [index] is the start's
-   position in the pre-split generator sequence, so the span args are
-   identical however a pool scheduled it. *)
-let run_start config ?fixed ?arena ~cycles ~index rng h =
-  let t0 = Trace.start () in
-  let r = run_vcycles ~config ?fixed ?arena ~cycles rng h in
-  if Trace.enabled () then
-    Trace.complete ~cat:"ml"
-      ~args:
-        [
-          ("start", Trace.Int index);
-          ("cut", Trace.Int r.cut);
-          ("levels", Trace.Int r.levels);
-        ]
-      "ml/start" t0;
-  Metrics.incr m_starts;
-  r
-
-(* Independent multi-start: [starts] full ML (or V-cycle) runs from
-   pre-split generator streams, keeping the lowest cut (ties to the lowest
-   start index).  With a pool the starts run on separate domains; because
-   every start owns its stream and the winner is picked by (cut, index),
-   the outcome is bit-identical for any pool size. *)
-let run_starts ?(config = mlf) ?fixed ?pool ?(cycles = 1) ?deadline ~starts rng h =
-  if starts < 1 then invalid_arg "Ml.run_starts: starts < 1";
-  let rngs = Array.init starts (fun _ -> Rng.split rng) in
-  let indexed = Array.mapi (fun i rng -> (i, rng)) rngs in
-  let one ?arena (i, rng) = run_start config ?fixed ?arena ~cycles ~index:i rng h in
-  let results =
-    match deadline with
-    | None -> (
-        match pool with
-        | Some pool when Pool.size pool > 1 && starts > 1 ->
-            (* each pooled start builds its own arena inside run_vcycles *)
-            Trace.span ~cat:"ml"
-              ~args:(fun () -> [ ("starts", Trace.Int starts) ])
-              "ml/starts"
-              (fun () -> Pool.map pool one indexed)
-        | Some _ | None ->
-            let arena = Fm.create_arena ~h () in
-            Trace.span ~cat:"ml"
-              ~args:(fun () -> [ ("starts", Trace.Int starts) ])
-              "ml/starts"
-              (fun () -> Array.map (one ~arena) indexed))
-    | Some dl ->
-        (* Cooperative timeout: starts run in waves (one per pool pass, or
-           singly when sequential) with the deadline polled between waves.
-           Completed starts are never discarded, so the reported best is a
-           genuine prefix of the deterministic no-deadline schedule — a
-           timed-out run returns exactly what runs 0..k-1 would. *)
-        let wave =
-          match pool with Some p when Pool.size p > 1 -> Pool.size p | _ -> 1
-        in
-        let arena = if wave = 1 then Some (Fm.create_arena ~h ()) else None in
-        let acc = ref [] in
-        let completed = ref 0 in
-        let wave_index = ref 0 in
-        while
-          !completed < starts && (!completed = 0 || not (Deadline.check dl))
-        do
-          let n = Stdlib.min wave (starts - !completed) in
-          let batch = Array.sub indexed !completed n in
-          let t0 = Trace.start () in
-          let res =
-            match pool with
-            | Some p when Pool.size p > 1 && n > 1 -> Pool.map p one batch
-            | _ -> Array.map (fun iv -> one ?arena iv) batch
-          in
-          if Trace.enabled () then
-            Trace.complete ~cat:"ml"
-              ~args:[ ("wave", Trace.Int !wave_index); ("starts", Trace.Int n) ]
-              "ml/wave" t0;
-          incr wave_index;
-          acc := res :: !acc;
-          completed := !completed + n
-        done;
-        Array.concat (List.rev !acc)
-  in
-  let best = ref results.(0) in
-  for i = 1 to Array.length results - 1 do
-    if results.(i).cut < !best.cut then best := results.(i)
-  done;
-  !best

@@ -91,28 +91,6 @@ val run_vcycles :
     back up.  The cut never increases across cycles.  [cycles = 1] is
     exactly {!run}. *)
 
-val run_starts :
-  ?config:config ->
-  ?fixed:int array ->
-  ?pool:Mlpart_util.Pool.t ->
-  ?cycles:int ->
-  ?deadline:Mlpart_util.Deadline.t ->
-  starts:int ->
-  Mlpart_util.Rng.t ->
-  Mlpart_hypergraph.Hypergraph.t ->
-  result
-(** [run_starts ~starts rng h] runs [starts] independent multilevel runs
-    ([cycles] V-cycles each, default 1) and keeps the lowest cut, breaking
-    ties by the lowest start index.  Each start owns a generator pre-split
-    from [rng], so the result is bit-identical whether the starts run
-    sequentially or across a {!Mlpart_util.Pool}.
-
-    [deadline] is polled cooperatively between starts (between pool waves
-    when parallel): once expired, no further start begins, and the best of
-    the completed prefix is returned — at least the first start always
-    completes.  Query {!Mlpart_util.Deadline.expired} afterwards to learn
-    whether the multi-start was cut short. *)
-
 (** {1 Hierarchy reuse (the serve-mode cache seam)}
 
     {!run} is exactly {!hierarchy} followed by {!run_hierarchy} on the

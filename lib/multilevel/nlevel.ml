@@ -1,5 +1,6 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Rng = Mlpart_util.Rng
+module Multistart = Mlpart_util.Multistart
 module Trace = Mlpart_obs.Trace
 module Metrics = Mlpart_obs.Metrics
 module Cache = Mlpart_partition.Gain_cache
@@ -305,14 +306,12 @@ let initial_partition cfg rng hy side ~k =
       tolerance = cfg.tolerance;
     }
   in
-  let best = ref None in
-  for _ = 1 to Stdlib.max 1 cfg.initial_starts do
-    let r = Multiway.run ~config:mcfg (Rng.split rng) snap ~k in
-    match !best with
-    | Some b when b.Multiway.cut <= r.Multiway.cut -> ()
-    | Some _ | None -> best := Some r
-  done;
-  let r = Option.get !best in
+  let r, _ =
+    Multistart.best ~starts:cfg.initial_starts
+      ~cut:(fun r -> r.Multiway.cut)
+      (fun rng -> Multiway.run ~config:mcfg rng snap ~k)
+      rng
+  in
   Array.iteri (fun i v -> side.(v) <- r.Multiway.side.(i)) members;
   members
 

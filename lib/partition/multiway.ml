@@ -38,22 +38,19 @@ let cut_of h ~k side = Kpartition.cut (Kpartition.create h ~k side)
    multilevel k-way driver threads one arena through every level.  Not safe
    to share between domains. *)
 type arena = {
-  mutable gains : int array;
   mutable locked : bool array;
   mutable order : int array;
-  mutable order_from : int array;
+  mutable from : int array;
   mutable buckets : Gain_bucket.t array;
 }
 
-let create_arena () =
-  { gains = [||]; locked = [||]; order = [||]; order_from = [||]; buckets = [||] }
+let create_arena () = { locked = [||]; order = [||]; from = [||]; buckets = [||] }
 
 let ensure_arena a n k =
-  if Array.length a.gains < n * k then a.gains <- Array.make (n * k) 0;
   if Array.length a.locked < n then begin
     a.locked <- Array.make n false;
     a.order <- Array.make n 0;
-    a.order_from <- Array.make n 0
+    a.from <- Array.make n 0
   end;
   if Array.length a.buckets < k * k then begin
     let old = a.buckets in
@@ -72,11 +69,10 @@ type state = {
   kk : int;
   bounds : Kpartition.bounds;
   fixed : int array option;
-  gains : int array; (* (v * k) + q *)
   locked : bool array;
   buckets : Gain_bucket.t array; (* (p * k) + q, p <> q *)
-  order : int array; (* move stack: module ids *)
-  order_from : int array; (* source parts of the stack *)
+  order : int array; (* move stack: candidates (v * k) + q *)
+  from : int array; (* source part of each module moved this pass *)
 }
 
 let is_fixed st v = match st.fixed with Some f -> f.(v) >= 0 | None -> false
@@ -109,11 +105,7 @@ let bucket st p q = st.buckets.((p * st.kk) + q)
 let insert_module st v =
   let p = Kpartition.side st.kp v in
   for q = 0 to st.kk - 1 do
-    if q <> p then begin
-      let g = current_gain st v q in
-      st.gains.((v * st.kk) + q) <- g;
-      Gain_bucket.insert (bucket st p q) v g
-    end
+    if q <> p then Gain_bucket.insert (bucket st p q) v (current_gain st v q)
   done
 
 let remove_module st v =
@@ -168,11 +160,8 @@ let apply_move st v q =
                 let new_c =
                   net_gain st ~pins:new_pins ~spans:new_spans ~w ~u_side ~q:q'
                 in
-                if old_c <> new_c then begin
-                  let idx = (u * st.kk) + q' in
-                  st.gains.(idx) <- st.gains.(idx) + new_c - old_c;
+                if old_c <> new_c then
                   Gain_bucket.adjust (bucket st u_side q') u (new_c - old_c)
-                end
               end
             done
           end))
@@ -197,31 +186,30 @@ let select st =
   done;
   !best
 
+(* One best-prefix pass on [Refine_core]: a candidate encodes module [v]
+   and target part [q] as [(v * k) + q]; the gain [select] found is the
+   one [commit] credits. *)
 let run_pass st =
   init_pass st;
-  let moved = ref 0 in
-  let cum = ref 0 in
-  let best = ref 0 in
-  let best_count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match select st with
-    | None -> continue := false
-    | Some (v, q, g) ->
-        st.order.(!moved) <- v;
-        st.order_from.(!moved) <- Kpartition.side st.kp v;
-        apply_move st v q;
-        incr moved;
-        cum := !cum + g;
-        if !cum > !best then begin
-          best := !cum;
-          best_count := !moved
-        end
-  done;
-  for i = !moved - 1 downto !best_count do
-    Kpartition.move st.kp st.order.(i) st.order_from.(i)
-  done;
-  (!best, !moved)
+  let gain = ref 0 in
+  Refine_core.run_pass ~order:st.order
+    {
+      Refine_core.select =
+        (fun () ->
+          match select st with
+          | None -> -1
+          | Some (v, q, g) ->
+              gain := g;
+              (v * st.kk) + q);
+      commit =
+        (fun c ->
+          let v = c / st.kk in
+          st.from.(v) <- Kpartition.side st.kp v;
+          apply_move st v (c mod st.kk);
+          !gain);
+      undo = (fun c -> Kpartition.move st.kp (c / st.kk) st.from.(c / st.kk));
+      rebuild = (fun ~first_bad:_ ~kept:_ -> ());
+    }
 
 let run ?(config = default) ?init ?fixed ?arena rng h ~k =
   if k < 2 then invalid_arg "Multiway.run: k < 2";
@@ -257,26 +245,19 @@ let run ?(config = default) ?init ?fixed ?arena rng h ~k =
       kk = k;
       bounds;
       fixed;
-      gains = a.gains;
       locked = a.locked;
       buckets = a.buckets;
       order = a.order;
-      order_from = a.order_from;
+      from = a.from;
     }
   in
-  let passes = ref 0 in
-  let moves = ref 0 in
-  let improving = ref true in
-  while !improving && !passes < config.max_passes do
-    let pass_gain, pass_moves = run_pass st in
-    incr passes;
-    moves := !moves + pass_moves;
-    if pass_gain <= 0 then improving := false
-  done;
+  let passes, moves =
+    Refine_core.drive ~max_passes:config.max_passes (fun ~pass:_ -> run_pass st)
+  in
   {
     side = Kpartition.side_array st.kp;
     cut = Kpartition.cut st.kp;
     sum_degrees = Kpartition.sum_degrees st.kp;
-    passes = !passes;
-    moves = !moves;
+    passes;
+    moves;
   }

@@ -7,6 +7,7 @@ module Diag = Mlpart_util.Diag
 module Rng = Mlpart_util.Rng
 module Pool = Mlpart_util.Pool
 module Deadline = Mlpart_util.Deadline
+module Multistart = Mlpart_util.Multistart
 module Json = Mlpart_obs.Json
 module Metrics = Mlpart_obs.Metrics
 module Trace = Mlpart_obs.Trace
@@ -200,28 +201,14 @@ let compute t (req : P.request) ~attempt =
           (fun ms -> Deadline.make ~seconds:(float_of_int ms /. 1000.))
           t.config.default_timeout_ms
   in
-  (* Pre-split one generator per start so the schedule matches run_starts:
-     deadline expiry trims whole starts off the end, never reorders. *)
-  let rng = Rng.create req.P.seed in
-  let rngs = Array.init req.P.starts (fun _ -> Rng.split rng) in
   let arena = Fm.create_arena ~h () in
-  let best = ref None in
-  let completed = ref 0 in
-  (try
-     for i = 0 to req.P.starts - 1 do
-       if
-         !completed > 0
-         && (match deadline with Some d -> Deadline.check d | None -> false)
-       then raise Stdlib.Exit;
-       let r = Ml.run_hierarchy ~config:ml ?pool ~arena rngs.(i) h hier in
-       incr completed;
-       match !best with
-       | Some b when b.Ml.cut <= r.Ml.cut -> ()
-       | _ -> best := Some r
-     done
-   with Stdlib.Exit -> ());
-  let r = Option.get !best in
-  let timed_out = !completed < req.P.starts in
+  let r, completed =
+    Multistart.best ?deadline ~starts:req.P.starts
+      ~cut:(fun r -> r.Ml.cut)
+      (fun rng -> Ml.run_hierarchy ~config:ml ?pool ~arena rng h hier)
+      (Rng.create req.P.seed)
+  in
+  let timed_out = completed < req.P.starts in
   let diags =
     if timed_out then
       [
@@ -229,7 +216,7 @@ let compute t (req : P.request) ~attempt =
           ~source:(if req.P.id = "" then "request" else "request " ^ req.P.id)
           Diag.Timeout
           "deadline exceeded after %d of %d start(s); best-so-far returned"
-          !completed req.P.starts;
+          completed req.P.starts;
       ]
     else []
   in

@@ -12,7 +12,7 @@ module Gen = Mlpart_check.Gen
 module Property = Mlpart_check.Property
 module Hgen = Mlpart_check.Hgen
 module Oracle = Mlpart_check.Oracle
-module Engines = Mlpart_check.Engines
+module Algos = Mlpart_experiments.Algos
 module Selfcheck = Mlpart_check.Selfcheck
 
 (* areas 1..5; optimum {4} vs the rest cuts only the third net *)
@@ -280,7 +280,7 @@ let test_oracle_zero_pin_net () =
 
 let test_selfcheck_smoke () =
   let report = Selfcheck.run { Selfcheck.seed = 7; cases = 5; max_size = 8 } in
-  Alcotest.(check int) "all properties present" 20
+  Alcotest.(check int) "all properties present" 45
     (List.length report.Selfcheck.props);
   Alcotest.(check int) "no failures"
     0
@@ -300,17 +300,20 @@ let test_ml_oracle_gap_bound () =
     let rng = Rng.stream (Rng.create 1) case in
     let spec = Gen.root Hgen.instance ~size:(case mod 15) rng in
     let h = Hgen.build spec in
-    let r = Engines.ml.Engines.run (Rng.create (1000 + case)) h in
+    let _, cut =
+      (Algos.mlc ~threshold:4 1.0).Algos.run ~tolerance:0.1
+        (Rng.create (1000 + case)) h ~k:2
+    in
     match Oracle.bipartition ~bounds:(Bp.bounds h) h with
     | None -> Alcotest.fail "engine solved an instance the oracle calls infeasible"
     | Some opt ->
         Alcotest.(check bool)
-          (Printf.sprintf "case %d: cut %d >= optimum %d" case r.Engines.cut
+          (Printf.sprintf "case %d: cut %d >= optimum %d" case cut
              opt.Oracle.cut)
           true
-          (r.Engines.cut >= opt.Oracle.cut);
-        if r.Engines.cut - opt.Oracle.cut > !max_gap then
-          max_gap := r.Engines.cut - opt.Oracle.cut
+          (cut >= opt.Oracle.cut);
+        if cut - opt.Oracle.cut > !max_gap then
+          max_gap := cut - opt.Oracle.cut
   done;
   Alcotest.(check bool)
     (Printf.sprintf "max ml-vs-oracle gap %d within the recorded bound 7"

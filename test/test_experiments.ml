@@ -15,44 +15,62 @@ let tiny () =
   let rng = Rng.create 12 in
   Mlpart_gen.Generate.rent ~rng ~modules:90 ~nets:110 ~pins:330 ()
 
-let bipartitioners =
-  [
-    Algos.fm; Algos.fm_fifo; Algos.fm_random; Algos.clip; Algos.mlf 0.5;
-    Algos.mlc 0.5; Algos.cl_la3f; Algos.cd_la3f; Algos.cl_prf; Algos.lsmc 3;
-    Algos.eig; Algos.eig_fm; Algos.two_phase; Algos.ga_fm; Algos.kl;
-    Algos.mlc_vcycles 2;
-  ]
+let engines = Algos.all ()
 
-let quadrisectors =
-  [ Algos.q_mlf; Algos.q_fm; Algos.q_clip; Algos.q_lsmc_f; Algos.q_lsmc_c;
-    Algos.q_gordian ]
+let twoway = List.filter (fun e -> Algos.accepts e 2) engines
+
+(* Every engine that can quadrisect, as Table IX runs them. *)
+let quadrisectors = List.filter (fun e -> Algos.accepts e 4) engines
 
 let test_all_bipartitioners_valid () =
   let h = tiny () in
   List.iter
     (fun algo ->
-      let side, cut = algo.Algos.run (Rng.create 3) h in
+      let side, cut = algo.Algos.run ~tolerance:0.1 (Rng.create 3) h ~k:2 in
       check Alcotest.int (algo.Algos.name ^ " cut consistent")
         (Fm.cut_of h side) cut)
-    bipartitioners
+    twoway
 
 let test_all_quadrisectors_valid () =
   let h = tiny () in
   List.iter
     (fun algo ->
-      let side, cut = algo.Algos.qrun (Rng.create 4) h in
-      check Alcotest.int (algo.Algos.qname ^ " cut consistent")
+      let side, cut = algo.Algos.run ~tolerance:0.1 (Rng.create 4) h ~k:4 in
+      check Alcotest.int (algo.Algos.name ^ " cut consistent")
         (Mw.cut_of h ~k:4 side) cut)
     quadrisectors
 
 let test_algo_names_distinct () =
-  let names = List.map (fun a -> a.Algos.name) bipartitioners in
+  let names = List.map (fun a -> a.Algos.name) engines in
   check Alcotest.int "unique names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* The rb entry honours --tolerance and the intra-run pool. *)
+let test_rb_tolerance () =
+  let module Rb = Mlpart_multilevel.Rb in
+  let module Ml = Mlpart_multilevel.Ml in
+  let h = tiny () in
+  let side, cut = Algos.rb.Algos.run ~tolerance:0.3 (Rng.create 8) h ~k:4 in
+  let config =
+    { Rb.default with
+      ml = { Ml.mlc with engine = { Ml.mlc.Ml.engine with Fm.tolerance = 0.3 } } }
+  in
+  let r = Rb.run ~config (Rng.create 8) h ~k:4 in
+  check Alcotest.(array int) "same side as Rb.run at 0.3" r.Rb.side side;
+  check Alcotest.int "same cut" r.Rb.cut cut
+
+let test_rb_pool_identical () =
+  let h = tiny () in
+  let seq = Algos.rb.Algos.run ~tolerance:0.1 (Rng.create 9) h ~k:4 in
+  let par =
+    Mlpart_util.Pool.with_pool ~jobs:2 (fun pool ->
+        Algos.rb.Algos.run ~pool ~tolerance:0.1 (Rng.create 9) h ~k:4)
+  in
+  check Alcotest.(pair (array int) int) "2-domain pool changes nothing" seq par
+
 let test_measure_aggregates () =
   let h = tiny () in
-  let m = Report.measure ~runs:4 ~seed:1 h Algos.fm in
+  let m = Report.measure ~runs:4 ~seed:1 h Algos.flat_fm in
   check Alcotest.int "runs recorded" 4 m.Report.runs;
   check Alcotest.bool "min <= avg" true
     (float_of_int m.Report.min_cut <= m.Report.avg_cut);
@@ -60,8 +78,8 @@ let test_measure_aggregates () =
 
 let test_measure_deterministic () =
   let h = tiny () in
-  let a = Report.measure ~runs:3 ~seed:9 h Algos.clip in
-  let b = Report.measure ~runs:3 ~seed:9 h Algos.clip in
+  let a = Report.measure ~runs:3 ~seed:9 h Algos.flat_clip in
+  let b = Report.measure ~runs:3 ~seed:9 h Algos.flat_clip in
   check Alcotest.int "same min" a.Report.min_cut b.Report.min_cut;
   check (Alcotest.float 1e-9) "same avg" a.Report.avg_cut b.Report.avg_cut
 
@@ -71,8 +89,8 @@ let test_measure_seed_changes_runs () =
      unlikely; this checks the seed actually reaches the runs. *)
   let rng = Rng.create 77 in
   let h = Mlpart_gen.Generate.random ~rng ~modules:120 ~nets:150 ~pins:450 () in
-  let a = Report.measure ~runs:6 ~seed:1 h Algos.fm_fifo in
-  let b = Report.measure ~runs:6 ~seed:2 h Algos.fm_fifo in
+  let a = Report.measure ~runs:6 ~seed:1 h Algos.flat_fm_fifo in
+  let b = Report.measure ~runs:6 ~seed:2 h Algos.flat_fm_fifo in
   check Alcotest.bool "different seeds differ" true
     (a.Report.avg_cut <> b.Report.avg_cut
     || a.Report.min_cut <> b.Report.min_cut
@@ -81,8 +99,8 @@ let test_measure_seed_changes_runs () =
 let test_measure_parallel_identical () =
   (* pre-split rng streams make results independent of job count *)
   let h = tiny () in
-  let serial = Report.measure ~jobs:1 ~runs:6 ~seed:5 h Algos.fm in
-  let parallel = Report.measure ~jobs:3 ~runs:6 ~seed:5 h Algos.fm in
+  let serial = Report.measure ~jobs:1 ~runs:6 ~seed:5 h Algos.flat_fm in
+  let parallel = Report.measure ~jobs:3 ~runs:6 ~seed:5 h Algos.flat_fm in
   check Alcotest.int "same min" serial.Report.min_cut parallel.Report.min_cut;
   check (Alcotest.float 1e-9) "same avg" serial.Report.avg_cut
     parallel.Report.avg_cut;
@@ -167,6 +185,8 @@ let () =
           Alcotest.test_case "quadrisectors valid" `Slow
             test_all_quadrisectors_valid;
           Alcotest.test_case "names distinct" `Quick test_algo_names_distinct;
+          Alcotest.test_case "rb honours tolerance" `Quick test_rb_tolerance;
+          Alcotest.test_case "rb pool identical" `Quick test_rb_pool_identical;
         ] );
       ( "report",
         [

@@ -475,13 +475,20 @@ let test_arena_pool_jobs_identical () =
   let module Pool = Mlpart_util.Pool in
   let h = random_instance ~modules:200 37 in
   let config = { Ml.mlc with Ml.coarsest_starts = 2 } in
-  let seq = Ml.run_starts ~config ~starts:4 (Rng.create 38) h in
+  let ml_starts ?pool ~starts rng h =
+    fst
+      (Mlpart_util.Multistart.best ?pool ~starts
+         ~cut:(fun r -> r.Ml.cut)
+         (fun rng -> Ml.run ~config rng h)
+         rng)
+  in
+  let seq = ml_starts ~starts:4 (Rng.create 38) h in
   Pool.with_pool ~jobs:1 (fun pool ->
-      let r = Ml.run_starts ~config ~pool ~starts:4 (Rng.create 38) h in
+      let r = ml_starts ~pool ~starts:4 (Rng.create 38) h in
       check Alcotest.int "jobs 1: same cut" seq.Ml.cut r.Ml.cut;
       check Alcotest.(array int) "jobs 1: same sides" seq.Ml.side r.Ml.side);
   Pool.with_pool ~jobs:4 (fun pool ->
-      let r = Ml.run_starts ~config ~pool ~starts:4 (Rng.create 38) h in
+      let r = ml_starts ~pool ~starts:4 (Rng.create 38) h in
       check Alcotest.int "jobs 4: same cut" seq.Ml.cut r.Ml.cut;
       check Alcotest.(array int) "jobs 4: same sides" seq.Ml.side r.Ml.side)
 

@@ -307,16 +307,25 @@ let test_vcycles_one_equals_run () =
   let b = Ml.run_vcycles ~config:Ml.mlc ~cycles:1 (Rng.create 26) h in
   check Alcotest.(array int) "identical" a.Ml.side b.Ml.side
 
+(* [starts] independent Ml.run starts through the shared best-of-starts
+   loop. *)
+let ml_starts ?config ?pool ?deadline ~starts rng h =
+  fst
+    (Mlpart_util.Multistart.best ?pool ?deadline ~starts
+       ~cut:(fun r -> r.Ml.cut)
+       (fun rng -> Ml.run ?config rng h)
+       rng)
+
 let test_ml_run_starts_pool_identical () =
   (* pre-split generator streams + (cut, index) winner selection: the pool
      size must not change the outcome, even with multi-start enabled at the
      coarsest level too *)
   let h = random_instance ~modules:300 28 in
   let config = { Ml.mlc with Ml.coarsest_starts = 4 } in
-  let seq = Ml.run_starts ~config ~starts:6 (Rng.create 29) h in
+  let seq = ml_starts ~config ~starts:6 (Rng.create 29) h in
   let par =
     Pool.with_pool ~jobs:4 (fun pool ->
-        Ml.run_starts ~config ~pool ~starts:6 (Rng.create 29) h)
+        ml_starts ~config ~pool ~starts:6 (Rng.create 29) h)
   in
   check Alcotest.int "same cut" seq.Ml.cut par.Ml.cut;
   check Alcotest.(array int) "same side" seq.Ml.side par.Ml.side;
@@ -364,16 +373,16 @@ let test_ml_run_starts_deadline () =
   (* an already-expired deadline still completes the first start and returns
      its (valid) partition — never an empty or partial result *)
   let dl = Deadline.make ~seconds:0.0 in
-  let timed = Ml.run_starts ~deadline:dl ~starts:8 (Rng.create 32) h in
-  let first = Ml.run_starts ~starts:1 (Rng.create 32) h in
+  let timed = ml_starts ~deadline:dl ~starts:8 (Rng.create 32) h in
+  let first = ml_starts ~starts:1 (Rng.create 32) h in
   check Alcotest.bool "deadline reported expired" true (Deadline.expired dl);
   check Alcotest.int "first start only" first.Ml.cut timed.Ml.cut;
   check Alcotest.(array int) "same side" first.Ml.side timed.Ml.side;
   check Alcotest.int "cut recount" (Fm.cut_of h timed.Ml.side) timed.Ml.cut;
   (* a generous deadline changes nothing: all starts complete *)
   let dl = Deadline.make ~seconds:3600.0 in
-  let full = Ml.run_starts ~deadline:dl ~starts:4 (Rng.create 32) h in
-  let untimed = Ml.run_starts ~starts:4 (Rng.create 32) h in
+  let full = ml_starts ~deadline:dl ~starts:4 (Rng.create 32) h in
+  let untimed = ml_starts ~starts:4 (Rng.create 32) h in
   check Alcotest.bool "not expired" false (Deadline.expired dl);
   check Alcotest.int "untimed cut" untimed.Ml.cut full.Ml.cut;
   check Alcotest.(array int) "untimed side" untimed.Ml.side full.Ml.side
@@ -390,13 +399,13 @@ let test_golden_vcycles_cut () =
 
 let test_golden_run_starts_cut () =
   let h = random_instance ~modules:200 90 in
-  let seq = Ml.run_starts ~config:Ml.mlc ~starts:4 (Rng.create 92) h in
+  let seq = ml_starts ~config:Ml.mlc ~starts:4 (Rng.create 92) h in
   check Alcotest.int "recorded 4-start cut" 23 seq.Ml.cut;
   check Alcotest.int "cut recount" (Fm.cut_of h seq.Ml.side) seq.Ml.cut;
   (* the same recorded value must hold through a domain pool *)
   let par =
     Pool.with_pool ~jobs:3 (fun pool ->
-        Ml.run_starts ~config:Ml.mlc ~pool ~starts:4 (Rng.create 92) h)
+        ml_starts ~config:Ml.mlc ~pool ~starts:4 (Rng.create 92) h)
   in
   check Alcotest.int "pooled run matches the record" seq.Ml.cut par.Ml.cut;
   check Alcotest.(array int) "pooled side identical" seq.Ml.side par.Ml.side

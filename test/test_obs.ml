@@ -265,7 +265,11 @@ let test_metrics_record_diag () =
    determinism test below reuses this entry point. *)
 let run_pipeline ?pool seed =
   let h = instance seed in
-  Ml.run_starts ~config:Ml.mlc ?pool ~starts:3 (Rng.create 97) h
+  fst
+    (Mlpart_util.Multistart.best ?pool ~starts:3
+       ~cut:(fun r -> r.Ml.cut)
+       (fun rng -> Ml.run ~config:Ml.mlc rng h)
+       (Rng.create 97))
 
 let test_trace_export_schema () =
   Metrics.disable ();
@@ -313,7 +317,7 @@ let test_trace_export_schema () =
     (fun required ->
       if not (List.mem required names) then
         Alcotest.failf "trace lacks %s span" required)
-    [ "coarsen/level"; "fm/pass"; "ml/start"; "ml/starts"; "ml/refine_level" ]
+    [ "coarsen/level"; "fm/pass"; "ml/coarsen"; "ml/initial"; "ml/refine_level" ]
 
 let test_metrics_export_schema () =
   Trace.disable ();
@@ -341,7 +345,7 @@ let test_metrics_export_schema () =
   in
   check Alcotest.bool "fm ran" true (counter "fm.passes" >= 1);
   check Alcotest.bool "coarsening ran" true (counter "coarsen.levels" >= 1);
-  check Alcotest.bool "starts counted" true (counter "ml.starts" = 3);
+  check Alcotest.bool "runs counted" true (counter "ml.runs" = 3);
   (* sections are sorted by name — the export is deterministic text *)
   let keys = List.map fst counters in
   check Alcotest.bool "counters sorted" true (List.sort compare keys = keys);

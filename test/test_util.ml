@@ -1,4 +1,4 @@
-(* Unit and property tests for Mlpart_util: Rng, Stats, Tab, Timer. *)
+(* Unit and property tests for Mlpart_util: Rng, Stats, Tab, Pool, Multistart. *)
 
 module Rng = Mlpart_util.Rng
 module Stats = Mlpart_util.Stats
@@ -210,13 +210,6 @@ let test_tab_formatters () =
   check Alcotest.string "ff1" "3.1" (Tab.ff1 3.14);
   check Alcotest.string "ff2" "3.14" (Tab.ff2 3.14159)
 
-(* ---- Timer ---- *)
-
-let test_timer_returns_result () =
-  let value, elapsed = Mlpart_util.Timer.time (fun () -> 6 * 7) in
-  check Alcotest.int "result" 42 value;
-  check Alcotest.bool "non-negative" true (elapsed >= 0.0)
-
 (* ---- Pool ---- *)
 
 module Pool = Mlpart_util.Pool
@@ -332,6 +325,55 @@ let test_deadline_pre_expired () =
   let neg = Deadline.make ~seconds:(-5.0) in
   check Alcotest.bool "negative budget expires" true (Deadline.check neg)
 
+(* ---- Multistart ---- *)
+
+module Multistart = Mlpart_util.Multistart
+
+(* A start's "result" is its generator's first draw, so every start is
+   identifiable; cut = draw mod 5 makes ties common. *)
+let draw rng = Rng.int rng 1_000_000
+let by_mod5 x = x mod 5
+
+let test_multistart_lowest_index_wins () =
+  let rng = Rng.create 3 in
+  let draws = Array.init 12 (fun _ -> draw (Rng.split rng)) in
+  let expected =
+    Array.fold_left
+      (fun best x -> if by_mod5 x < by_mod5 best then x else best)
+      draws.(0) draws
+  in
+  let best, completed =
+    Multistart.best ~starts:12 ~cut:by_mod5 draw (Rng.create 3)
+  in
+  check Alcotest.int "all starts completed" 12 completed;
+  check Alcotest.int "lowest cut, first index" expected best
+
+let test_multistart_pool_identical () =
+  let seq = Multistart.best ~starts:9 ~cut:by_mod5 draw (Rng.create 5) in
+  Pool.with_pool ~jobs:3 (fun pool ->
+      let par = Multistart.best ~pool ~starts:9 ~cut:by_mod5 draw (Rng.create 5) in
+      check Alcotest.(pair int int) "pool changes nothing" seq par;
+      let dl = Deadline.make ~seconds:3600.0 in
+      let timed =
+        Multistart.best ~pool ~deadline:dl ~starts:9 ~cut:by_mod5 draw
+          (Rng.create 5)
+      in
+      check Alcotest.(pair int int) "unexpired waves change nothing" seq timed)
+
+let test_multistart_expired_deadline () =
+  (* an expired deadline still completes the first start (or the first pool
+     wave) and nothing after it *)
+  let dl = Deadline.make ~seconds:0.0 in
+  let first = draw (Rng.split (Rng.create 7)) in
+  check Alcotest.(pair int int) "first start only" (first, 1)
+    (Multistart.best ~deadline:dl ~starts:8 ~cut:by_mod5 draw (Rng.create 7));
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let _, completed =
+        Multistart.best ~pool ~deadline:dl ~starts:8 ~cut:by_mod5 draw
+          (Rng.create 7)
+      in
+      check Alcotest.int "one wave" 2 completed)
+
 (* Jobs values exercised by the determinism tests; the CI matrix overrides
    the default through MLPART_TEST_JOBS so the suite runs both sequential
    and multi-domain schedules. *)
@@ -403,11 +445,15 @@ let test_pool_parallel_chunks_slots () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let n = 50_000 in
       let hit = Array.make n 0 in
+      (* Alcotest's [check] is not domain-safe: record a bad slot in the
+         body and assert on the calling domain afterwards. *)
+      let bad_slot = Atomic.make false in
       Pool.parallel_chunks pool ~n ~body:(fun ~slot ~lo ~hi ->
-          check Alcotest.bool "slot in range" true (slot >= 0 && slot < 4);
+          if slot < 0 || slot >= 4 then Atomic.set bad_slot true;
           for i = lo to hi - 1 do
             hit.(i) <- hit.(i) + 1
           done);
+      check Alcotest.bool "slots in range" false (Atomic.get bad_slot);
       Array.iteri
         (fun i c -> if c <> 1 then Alcotest.failf "index %d visited %d times" i c)
         hit)
@@ -460,10 +506,6 @@ let () =
           Alcotest.test_case "custom alignment" `Quick test_tab_custom_alignment;
           Alcotest.test_case "formatters" `Quick test_tab_formatters;
         ] );
-      ( "timer",
-        [
-          Alcotest.test_case "returns result" `Quick test_timer_returns_result;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "parallel_for" `Quick test_pool_parallel_for;
@@ -488,5 +530,14 @@ let () =
         [
           Alcotest.test_case "latches" `Quick test_deadline_latches;
           Alcotest.test_case "pre-expired" `Quick test_deadline_pre_expired;
+        ] );
+      ( "multistart",
+        [
+          Alcotest.test_case "lowest index wins ties" `Quick
+            test_multistart_lowest_index_wins;
+          Alcotest.test_case "pool identical" `Quick
+            test_multistart_pool_identical;
+          Alcotest.test_case "expired deadline" `Quick
+            test_multistart_expired_deadline;
         ] );
     ]
