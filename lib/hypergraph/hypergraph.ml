@@ -9,6 +9,7 @@ type t = {
   mod_offsets : int array; (* length num_modules + 1 *)
   mod_nets : int array;
   total_area : int;
+  min_area : int;
   max_area : int;
 }
 
@@ -17,6 +18,7 @@ let num_nets t = Array.length t.net_weights
 let num_pins t = Array.length t.net_pins
 let area t v = t.areas.(v)
 let total_area t = t.total_area
+let min_area t = t.min_area
 let max_area t = t.max_area
 let name t = t.name
 
@@ -155,8 +157,13 @@ let make_csr ?(name = "") ~areas ~net_offsets ~net_pins ~net_weights () =
     done
   done;
   let total_area = Array.fold_left ( + ) 0 areas in
+  let min_area = ref (if n = 0 then 0 else max_int) in
   let max_area = ref 0 in
-  Array.iter (fun a -> if a > !max_area then max_area := a) areas;
+  Array.iter
+    (fun a ->
+      if a < !min_area then min_area := a;
+      if a > !max_area then max_area := a)
+    areas;
   {
     name;
     areas;
@@ -166,6 +173,7 @@ let make_csr ?(name = "") ~areas ~net_offsets ~net_pins ~net_weights () =
     mod_offsets;
     mod_nets;
     total_area;
+    min_area = !min_area;
     max_area = !max_area;
   }
 

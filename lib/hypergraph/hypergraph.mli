@@ -29,6 +29,11 @@ val area : t -> int -> int
 val total_area : t -> int
 (** Sum of all module areas. *)
 
+val min_area : t -> int
+(** Smallest single module area ([0] for a netlist without modules).  A
+    balance budget below it admits no move at all, which lets FM selectors
+    skip a whole direction bucket in O(1). *)
+
 val max_area : t -> int
 (** Largest single module area (the "A(v max)" of the paper's balance rule). *)
 

@@ -417,7 +417,10 @@ let local_refine cfg cache act (bounds : Kpartition.bounds) u v =
 
 (* Full k-way FM polish at the finest level, on the shared move loop: one
    direction bucket per ordered part pair keyed by *cached* gains — no
-   per-pass gain recomputation, the cache carried every delta here. *)
+   per-pass gain recomputation, the cache carried every delta here.  Every
+   module is uncontracted by now, so cached areas are the netlist's and a
+   direction whose balance budget is below its smallest module area is
+   skipped unwalked. *)
 let final_refine cfg cache rng h (bounds : Kpartition.bounds) =
   let n = H.num_modules h in
   let k = Cache.k cache in
@@ -441,25 +444,28 @@ let final_refine cfg cache rng h (bounds : Kpartition.bounds) =
       done
     done
   in
+  let min_area = H.min_area h in
+  let budget = ref 0 in
+  let feas v = Cache.area cache v <= !budget in
   let select () =
     let best_v = ref (-1) and best_g = ref min_int in
     chosen_q := -1;
     for p = 0 to k - 1 do
       for q = 0 to k - 1 do
         if q <> p then begin
-          let b = buckets.((p * k) + q) in
-          let feas v =
-            let a = Cache.area cache v in
-            Cache.part_area cache q + a <= bounds.hi
-            && Cache.part_area cache p - a >= bounds.lo
-          in
-          let v = Gain_bucket.select_satisfying b feas in
-          if v >= 0 then begin
-            let g = Gain_bucket.gain_of b v in
-            if g > !best_g then begin
-              best_g := g;
-              best_v := v;
-              chosen_q := q
+          budget :=
+            Kpartition.budget bounds ~from_area:(Cache.part_area cache p)
+              ~to_area:(Cache.part_area cache q);
+          if !budget >= min_area then begin
+            let b = buckets.((p * k) + q) in
+            let v = Gain_bucket.select_satisfying b feas in
+            if v >= 0 then begin
+              let g = Gain_bucket.gain_of b v in
+              if g > !best_g then begin
+                best_g := g;
+                best_v := v;
+                chosen_q := q
+              end
             end
           end
         end

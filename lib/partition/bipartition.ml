@@ -103,10 +103,22 @@ let is_cut t e = t.pins_on.(2 * e) > 0 && t.pins_on.((2 * e) + 1) > 0
 
 let is_balanced t b = t.areas.(0) >= b.lo && t.areas.(0) <= b.hi
 
+(* The one place the 2-way balance arithmetic lives: moving a module of
+   area [a] off side [s] leaves side 0 at [areas.(0) -/+ a], which lies in
+   [b] iff [a] lies in this window.  The predicate and the selectors'
+   direction skip both read it. *)
+let min_move_area t b s =
+  if s = 0 then t.areas.(0) - b.hi else b.lo - t.areas.(0)
+
+let max_move_area t b s =
+  if s = 0 then t.areas.(0) - b.lo else b.hi - t.areas.(0)
+
 let move_is_feasible t b v =
-  let a = H.area t.h v in
-  let area0 = if t.side.(v) = 0 then t.areas.(0) - a else t.areas.(0) + a in
-  area0 >= b.lo && area0 <= b.hi
+  let a = H.area t.h v and s = t.side.(v) in
+  a >= min_move_area t b s && a <= max_move_area t b s
+
+let direction_open t b s ~min_area ~max_area =
+  max_move_area t b s >= min_area && min_move_area t b s <= max_area
 
 let gain ?(net_threshold = max_int) t v =
   let from = t.side.(v) in

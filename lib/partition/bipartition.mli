@@ -75,7 +75,18 @@ val areas_store : t -> int array
 val is_balanced : t -> bounds -> bool
 
 val move_is_feasible : t -> bounds -> int -> bool
-(** Would moving module [v] keep side areas within [bounds]? *)
+(** Would moving module [v] keep side areas within [bounds]?  Computed as
+    membership of [area v] in the window of areas that may leave [v]'s
+    side: [[area0 - hi, area0 - lo]] from side 0, [[lo - area0,
+    hi - area0]] from side 1. *)
+
+val direction_open : t -> bounds -> int -> min_area:int -> max_area:int -> bool
+(** [direction_open t b s ~min_area ~max_area] is false when the window of
+    {!move_is_feasible} for side [s] misses [[min_area, max_area]].  Given
+    the netlist's {!Mlpart_hypergraph.Hypergraph.min_area} and
+    {!Mlpart_hypergraph.Hypergraph.max_area}, a false answer means
+    {!move_is_feasible} rejects every module on [s], so a selector may
+    skip that side's gain bucket in O(1). *)
 
 val gain : ?net_threshold:int -> t -> int -> int
 (** FM gain of moving module [v] to the other side: the decrease in cut,

@@ -148,6 +148,8 @@ type state = {
   wts : int array; (* weight per net *)
   areas : int array; (* live side areas of [bp] *)
   feas : int -> bool; (* balance feasibility of moving a module *)
+  min_area : int; (* smallest and largest module area of [h] *)
+  max_area : int;
 }
 
 let key_of st v = if st.cfg.clip then st.gain.(v) - st.gain0.(v) else st.gain.(v)
@@ -280,6 +282,20 @@ let compare_vectors a b r =
   in
   go 0
 
+(* Best feasible module of side [s]'s bucket, or -1.  When the balance
+   window of side [s] holds no module area of the netlist, the walk could
+   only reject every module: it is skipped in O(1), unless the bucket
+   draws from its generator while walking (Random), where skipping would
+   shift the seeded stream. *)
+let best_on_side st s =
+  let b = st.buckets.(s) in
+  if
+    Bipartition.direction_open st.bp st.bounds s ~min_area:st.min_area
+      ~max_area:st.max_area
+    || Gain_bucket.draws_on_select b
+  then Gain_bucket.select_satisfying b st.feas
+  else -1
+
 (* Candidate selection; returns the module to move, or -1 when no feasible
    candidate remains.  Both sides' best feasible keys are compared; key ties
    go to the heavier side (helps balance).  Under lookahead, all feasible
@@ -288,8 +304,8 @@ let compare_vectors a b r =
    path allocates nothing on the plain tie-break. *)
 let select st =
   let b0 = st.buckets.(0) and b1 = st.buckets.(1) in
-  let v0 = Gain_bucket.select_satisfying b0 st.feas in
-  let v1 = Gain_bucket.select_satisfying b1 st.feas in
+  let v0 = best_on_side st 0 in
+  let v1 = best_on_side st 1 in
   let v, key =
     if v0 < 0 then (v1, if v1 < 0 then 0 else Gain_bucket.gain_of b1 v1)
     else if v1 < 0 then (v0, Gain_bucket.gain_of b0 v0)
@@ -526,18 +542,6 @@ let run ?(config = default) ?init ?fixed ?arena rng h =
     ~max_gain:range ~capacity:n a.buckets.(0);
   Gain_bucket.reinit ~rng:rng_b1 ~policy:config.policy ~min_gain:(-range)
     ~max_gain:range ~capacity:n a.buckets.(1);
-  let side_store = Bipartition.side_store bp in
-  let areas_store = Bipartition.areas_store bp in
-  let mareas = H.areas_store h in
-  (* Same predicate as [Bipartition.move_is_feasible], on raw views: it runs
-     once per candidate the selection scan touches. *)
-  let feas v =
-    let a = mareas.(v) in
-    let area0 =
-      if side_store.(v) = 0 then areas_store.(0) - a else areas_store.(0) + a
-    in
-    area0 >= bounds.Bipartition.lo && area0 <= bounds.Bipartition.hi
-  in
   let st =
     {
       cfg = config;
@@ -558,15 +562,17 @@ let run ?(config = default) ?init ?fixed ?arena rng h =
         (match config.tie_break with
         | Plain -> [| 0 |]
         | Lookahead r -> Array.make (Stdlib.max 1 r) 0);
-      side = side_store;
+      side = Bipartition.side_store bp;
       pins_on = Bipartition.pins_on_store bp;
       noff = H.net_offsets_store h;
       pins = H.net_pins_store h;
       moff = H.mod_offsets_store h;
       mnets = H.mod_nets_store h;
       wts = H.net_weights_store h;
-      areas = areas_store;
-      feas;
+      areas = Bipartition.areas_store bp;
+      feas = (fun v -> Bipartition.move_is_feasible bp bounds v);
+      min_area = H.min_area h;
+      max_area = H.max_area h;
     }
   in
   let passes, moves =

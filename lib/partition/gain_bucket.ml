@@ -245,6 +245,9 @@ let select_satisfying t pred =
     with Found v -> v
   end
 
+let draws_on_select t =
+  match t.policy with Random -> true | Lifo | Fifo -> false
+
 let select_max_satisfying t pred =
   let v = select_satisfying t pred in
   if v < 0 then None else Some (v, t.key.(v))

@@ -82,6 +82,13 @@ val select_satisfying : t -> (int -> bool) -> int
     when no stored module satisfies the predicate.  The winner's key is
     available via {!gain_of}. *)
 
+val draws_on_select : t -> bool
+(** Does {!select_satisfying} draw from the generator?  True under
+    [Random], which draws once per non-empty bucket it visits even when
+    the predicate rejects every module.  A caller that knows the predicate
+    rejects every stored module may skip the call, in O(1) and without
+    changing any later result, exactly when this is false. *)
+
 val pop_max : t -> (int * int) option
 (** {!select_max} followed by removal. *)
 

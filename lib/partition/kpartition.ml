@@ -96,6 +96,9 @@ let pins_on t e p = t.pins_on.((t.k * e) + p)
 let spans t e = t.spans.(e)
 let cut t = t.cut
 let sum_degrees t = t.sum_degrees
+let side_store t = t.side
+let pins_on_store t = t.pins_on
+let spans_store t = t.spans
 
 type bounds = { lo : int; hi : int }
 
@@ -115,12 +118,17 @@ let is_balanced t b =
   done;
   !ok
 
+(* The one place the k-way balance arithmetic lives: a module of area [a]
+   may leave a part of area [from_area] for one of area [to_area] iff
+   [a <= budget], i.e. the source stays at or above [lo] and the target at
+   or below [hi].  The predicate and the selectors' direction skip both
+   read it. *)
+let budget b ~from_area ~to_area = Int.min (b.hi - to_area) (from_area - b.lo)
+let move_budget t b p q = budget b ~from_area:t.areas.(p) ~to_area:t.areas.(q)
+
 let move_is_feasible t b v q =
   let p = t.side.(v) in
-  p <> q
-  &&
-  let a = H.area t.h v in
-  t.areas.(p) - a >= b.lo && t.areas.(q) + a <= b.hi
+  p <> q && H.area t.h v <= move_budget t b p q
 
 let move t v q =
   let p = t.side.(v) in
@@ -129,23 +137,27 @@ let move t v q =
     t.side.(v) <- q;
     t.areas.(p) <- t.areas.(p) - a;
     t.areas.(q) <- t.areas.(q) + a;
-    H.iter_nets_of t.h v (fun e ->
-        let w = H.net_weight t.h e in
-        let pi = (t.k * e) + p and qi = (t.k * e) + q in
-        let old_spans = t.spans.(e) in
-        t.pins_on.(pi) <- t.pins_on.(pi) - 1;
-        t.pins_on.(qi) <- t.pins_on.(qi) + 1;
-        let spans' =
-          old_spans
-          - (if t.pins_on.(pi) = 0 then 1 else 0)
-          + if t.pins_on.(qi) = 1 then 1 else 0
-        in
-        if spans' <> old_spans then begin
-          t.spans.(e) <- spans';
-          t.sum_degrees <- t.sum_degrees + (w * (spans' - old_spans));
-          if old_spans >= 2 && spans' < 2 then t.cut <- t.cut - w
-          else if old_spans < 2 && spans' >= 2 then t.cut <- t.cut + w
-        end)
+    let moff = H.mod_offsets_store t.h and mnets = H.mod_nets_store t.h in
+    let wts = H.net_weights_store t.h in
+    let k = t.k and pins_on = t.pins_on and spans = t.spans in
+    for i = moff.(v) to moff.(v + 1) - 1 do
+      let e = mnets.(i) in
+      let pi = (k * e) + p and qi = (k * e) + q in
+      let np = pins_on.(pi) - 1 and nq = pins_on.(qi) + 1 in
+      pins_on.(pi) <- np;
+      pins_on.(qi) <- nq;
+      let old_spans = spans.(e) in
+      let spans' =
+        old_spans - (if np = 0 then 1 else 0) + if nq = 1 then 1 else 0
+      in
+      if spans' <> old_spans then begin
+        let w = wts.(e) in
+        spans.(e) <- spans';
+        t.sum_degrees <- t.sum_degrees + (w * (spans' - old_spans));
+        if old_spans >= 2 && spans' < 2 then t.cut <- t.cut - w
+        else if old_spans < 2 && spans' >= 2 then t.cut <- t.cut + w
+      end
+    done
   end
 
 let rebalance ?fixed rng t b =

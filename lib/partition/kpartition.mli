@@ -38,6 +38,22 @@ val cut : t -> int
 val sum_degrees : t -> int
 (** Weighted [Σ (spans(e) - 1)]. *)
 
+(** {1 Hot-loop views}
+
+    Direct read-only views of the internal arrays, for engine inner loops
+    that touch every pin of every net around a move (the multiway gain
+    update).  Callers must not write through them; they alias live state
+    and change under {!move}. *)
+
+val side_store : t -> int array
+(** [.(v)] is the part of module [v]. *)
+
+val pins_on_store : t -> int array
+(** [.(k * e + p)] is the pin count of net [e] in part [p]. *)
+
+val spans_store : t -> int array
+(** [.(e)] is the number of parts net [e] touches. *)
+
 type bounds = { lo : int; hi : int }
 
 val bounds : ?tolerance:float -> Mlpart_hypergraph.Hypergraph.t -> k:int -> bounds
@@ -47,7 +63,21 @@ val is_balanced : t -> bounds -> bool
 
 val move_is_feasible : t -> bounds -> int -> int -> bool
 (** [move_is_feasible t b v q]: would moving [v] to part [q] keep both the
-    source and destination parts within [b]? *)
+    source and destination parts within [b]?  True iff [v] is not in [q]
+    and [area v <= move_budget t b (side t v) q]. *)
+
+val budget : bounds -> from_area:int -> to_area:int -> int
+(** [budget b ~from_area ~to_area] is the largest module area that may
+    move from a part of area [from_area] to a part of area [to_area] with
+    the source staying [>= lo] and the target [<= hi]:
+    [min (hi - to_area) (from_area - lo)].  Engines that track part areas
+    outside a {!t} (the n-level gain cache) call it directly. *)
+
+val move_budget : t -> bounds -> int -> int -> int
+(** [move_budget t b p q] is {!budget} for the current areas of parts [p]
+    and [q].  When it is below the netlist's
+    {!Mlpart_hypergraph.Hypergraph.min_area}, no module may move from [p]
+    to [q], and a selector can skip that direction bucket in O(1). *)
 
 val move : t -> int -> int -> unit
 (** [move t v q] reassigns module [v] to part [q]. *)

@@ -69,144 +69,178 @@ type state = {
   kk : int;
   bounds : Kpartition.bounds;
   fixed : int array option;
-  locked : bool array;
+  locked : bool array; (* moved this pass, or fixed *)
   buckets : Gain_bucket.t array; (* (p * k) + q, p <> q *)
   order : int array; (* move stack: candidates (v * k) + q *)
   from : int array; (* source part of each module moved this pass *)
+  (* Raw views for the gain update: the live part / pin-count / span stores
+     of [kp] and the hypergraph CSR arrays, so a move's gain deltas are
+     array arithmetic with no per-element calls or closures. *)
+  side : int array;
+  pins_on : int array; (* (k * e) + p *)
+  spans : int array;
+  noff : int array;
+  pins : int array;
+  moff : int array;
+  mnets : int array;
+  wts : int array;
+  min_area : int;
+  budget : int ref; (* balance budget of the direction being walked *)
+  feas : int -> bool; (* module fits [budget]; one closure per run *)
+  mutable chosen_gain : int; (* gain of the candidate [select] returned *)
 }
 
-let is_fixed st v = match st.fixed with Some f -> f.(v) >= 0 | None -> false
-
-(* Gain contributed by one net to moving a pin from its part to [q], given
-   (possibly historical) pin counts supplied by [pins] and [spans]. *)
-let net_gain st ~pins ~spans ~w ~u_side ~q =
-  let spans' =
-    spans - (if pins u_side = 1 then 1 else 0) + if pins q = 0 then 1 else 0
-  in
-  match st.cfg.objective with
+(* Gain contributed by one net of weight [w] spanning [spans] parts to
+   moving a pin out of a part holding [own] of its pins into a part
+   holding [dst] of them. *)
+let net_gain objective ~w ~spans ~own ~dst =
+  let spans' = spans - (if own = 1 then 1 else 0) + if dst = 0 then 1 else 0 in
+  match objective with
   | Sum_degrees -> w * (spans - spans')
   | Net_cut ->
       w * ((if spans >= 2 then 1 else 0) - if spans' >= 2 then 1 else 0)
   | Custom f -> f ~weight:w ~spans_before:spans ~spans_after:spans'
 
 let current_gain st v q =
-  let p = Kpartition.side st.kp v in
-  H.fold_nets_of st.h v ~init:0 ~f:(fun acc e ->
-      if H.net_size st.h e > st.cfg.net_threshold then acc
-      else
-        acc
-        + net_gain st
-            ~pins:(fun part -> Kpartition.pins_on st.kp e part)
-            ~spans:(Kpartition.spans st.kp e)
-            ~w:(H.net_weight st.h e) ~u_side:p ~q)
+  let k = st.kk and thr = st.cfg.net_threshold in
+  let p = st.side.(v) in
+  let g = ref 0 in
+  for i = st.moff.(v) to st.moff.(v + 1) - 1 do
+    let e = st.mnets.(i) in
+    if st.noff.(e + 1) - st.noff.(e) <= thr then
+      g :=
+        !g
+        + net_gain st.cfg.objective ~w:st.wts.(e) ~spans:st.spans.(e)
+            ~own:st.pins_on.((k * e) + p) ~dst:st.pins_on.((k * e) + q)
+  done;
+  !g
+
+(* Pins of the net at [base] in part [r] before a move from [p] to [q],
+   read from the post-move counts. *)
+let count_before pins_on base r ~p ~q =
+  if r = p then pins_on.(base + p) + 1
+  else if r = q then pins_on.(base + q) - 1
+  else pins_on.(base + r)
 
 let bucket st p q = st.buckets.((p * st.kk) + q)
 
 let insert_module st v =
-  let p = Kpartition.side st.kp v in
+  let p = st.side.(v) in
   for q = 0 to st.kk - 1 do
     if q <> p then Gain_bucket.insert (bucket st p q) v (current_gain st v q)
   done
 
 let remove_module st v =
-  let p = Kpartition.side st.kp v in
+  let p = st.side.(v) in
   for q = 0 to st.kk - 1 do
     if q <> p then Gain_bucket.remove (bucket st p q) v
   done
 
+(* Fixed modules are locked for the whole pass: never inserted, never
+   moved, never adjusted. *)
 let init_pass st =
   let n = H.num_modules st.h in
-  Array.fill st.locked 0 n false;
   Array.iter Gain_bucket.clear st.buckets;
   for v = 0 to n - 1 do
-    if not (is_fixed st v) then insert_module st v
+    let fixed = match st.fixed with Some f -> f.(v) >= 0 | None -> false in
+    st.locked.(v) <- fixed;
+    if not fixed then insert_module st v
   done
 
-(* Move [v] to part [q], updating neighbours' gains from per-net before and
-   after snapshots of the two affected parts. *)
+(* Move [v] to part [q], then adjust every free neighbour's gains by the
+   difference between each net's contribution before and after.  The
+   move changed only the counts of parts [p] and [q], by one pin each, so
+   the pre-move counts and span follow from the post-move ones and need no
+   snapshot.  Visiting order is part of the answer (LIFO buckets reinsert
+   on every adjust): nets in reverse incidence order, pins in CSR order,
+   targets ascending, and an adjust only when the gain changes. *)
 let apply_move st v q =
-  let p = Kpartition.side st.kp v in
+  let p = st.side.(v) in
   st.locked.(v) <- true;
   remove_module st v;
-  let thr = st.cfg.net_threshold in
-  (* Snapshot the counts this move will change, per incident net. *)
-  let saved =
-    H.fold_nets_of st.h v ~init:[] ~f:(fun acc e ->
-        if H.net_size st.h e > thr then acc
-        else
-          (e, Kpartition.pins_on st.kp e p, Kpartition.pins_on st.kp e q,
-           Kpartition.spans st.kp e)
-          :: acc)
-  in
   Kpartition.move st.kp v q;
-  List.iter
-    (fun (e, old_p, old_q, old_spans) ->
-      let w = H.net_weight st.h e in
-      let old_pins part =
-        if part = p then old_p
-        else if part = q then old_q
-        else Kpartition.pins_on st.kp e part
+  let k = st.kk and thr = st.cfg.net_threshold and obj = st.cfg.objective in
+  let side = st.side and pins_on = st.pins_on and locked = st.locked in
+  for i = st.moff.(v + 1) - 1 downto st.moff.(v) do
+    let e = st.mnets.(i) in
+    let off = st.noff.(e) and last = st.noff.(e + 1) - 1 in
+    if last - off < thr then begin
+      let w = st.wts.(e) and base = k * e in
+      let new_p = pins_on.(base + p) and new_q = pins_on.(base + q) in
+      let new_spans = st.spans.(e) in
+      let old_spans =
+        new_spans + (if new_p = 0 then 1 else 0) - if new_q = 1 then 1 else 0
       in
-      let new_pins part = Kpartition.pins_on st.kp e part in
-      let new_spans = Kpartition.spans st.kp e in
-      H.iter_pins_of st.h e (fun u ->
-          if (not st.locked.(u)) && not (is_fixed st u) then begin
-            let u_side = Kpartition.side st.kp u in
-            for q' = 0 to st.kk - 1 do
-              if q' <> u_side then begin
-                let old_c =
-                  net_gain st ~pins:old_pins ~spans:old_spans ~w ~u_side ~q:q'
-                in
-                let new_c =
-                  net_gain st ~pins:new_pins ~spans:new_spans ~w ~u_side ~q:q'
-                in
-                if old_c <> new_c then
-                  Gain_bucket.adjust (bucket st u_side q') u (new_c - old_c)
-              end
-            done
-          end))
-    saved
+      for j = off to last do
+        let u = st.pins.(j) in
+        if not locked.(u) then begin
+          let r = side.(u) in
+          let own_new = pins_on.(base + r)
+          and own_old = count_before pins_on base r ~p ~q in
+          for t = 0 to k - 1 do
+            if t <> r then begin
+              let old_c =
+                net_gain obj ~w ~spans:old_spans ~own:own_old
+                  ~dst:(count_before pins_on base t ~p ~q)
+              in
+              let new_c =
+                net_gain obj ~w ~spans:new_spans ~own:own_new
+                  ~dst:pins_on.(base + t)
+              in
+              if old_c <> new_c then
+                Gain_bucket.adjust st.buckets.((r * k) + t) u (new_c - old_c)
+            end
+          done
+        end
+      done
+    end
+  done
 
+(* Best feasible candidate over all k(k-1) direction buckets, as
+   [(v * k) + q], or -1; its gain is left in [chosen_gain].  A direction
+   whose balance budget is below the smallest module area is skipped
+   unwalked unless its bucket draws from its generator while walking
+   (Random).  Ties keep the first direction in (p, q) order. *)
 let select st =
-  let best = ref None in
-  for p = 0 to st.kk - 1 do
-    for q = 0 to st.kk - 1 do
-      if p <> q then
-        match
-          Gain_bucket.select_max_satisfying (bucket st p q) (fun v ->
-              Kpartition.move_is_feasible st.kp st.bounds v q)
-        with
-        | Some (v, g) -> begin
-            match !best with
-            | Some (_, _, bg) when bg >= g -> ()
-            | Some _ | None -> best := Some (v, q, g)
+  let k = st.kk in
+  let best_v = ref (-1) and best_q = ref (-1) and best_g = ref min_int in
+  for p = 0 to k - 1 do
+    for q = 0 to k - 1 do
+      if p <> q then begin
+        let b = bucket st p q in
+        st.budget := Kpartition.move_budget st.kp st.bounds p q;
+        if !(st.budget) >= st.min_area || Gain_bucket.draws_on_select b
+        then begin
+          let v = Gain_bucket.select_satisfying b st.feas in
+          if v >= 0 then begin
+            let g = Gain_bucket.gain_of b v in
+            if g > !best_g then begin
+              best_v := v;
+              best_q := q;
+              best_g := g
+            end
           end
-        | None -> ()
+        end
+      end
     done
   done;
-  !best
+  st.chosen_gain <- !best_g;
+  if !best_v < 0 then -1 else (!best_v * k) + !best_q
 
 (* One best-prefix pass on [Refine_core]: a candidate encodes module [v]
    and target part [q] as [(v * k) + q]; the gain [select] found is the
    one [commit] credits. *)
 let run_pass st =
   init_pass st;
-  let gain = ref 0 in
   Refine_core.run_pass ~order:st.order
     {
-      Refine_core.select =
-        (fun () ->
-          match select st with
-          | None -> -1
-          | Some (v, q, g) ->
-              gain := g;
-              (v * st.kk) + q);
+      Refine_core.select = (fun () -> select st);
       commit =
         (fun c ->
           let v = c / st.kk in
-          st.from.(v) <- Kpartition.side st.kp v;
+          st.from.(v) <- st.side.(v);
           apply_move st v (c mod st.kk);
-          !gain);
+          st.chosen_gain);
       undo = (fun c -> Kpartition.move st.kp (c / st.kk) st.from.(c / st.kk));
       rebuild = (fun ~first_bad:_ ~kept:_ -> ());
     }
@@ -237,6 +271,8 @@ let run ?(config = default) ?init ?fixed ?arena rng h ~k =
     Gain_bucket.reinit ~rng:(Rng.split rng) ~policy:config.policy
       ~min_gain:(-range) ~max_gain:range ~capacity:n a.buckets.(i)
   done;
+  let areas = H.areas_store h in
+  let budget = ref 0 in
   let st =
     {
       cfg = config;
@@ -249,6 +285,20 @@ let run ?(config = default) ?init ?fixed ?arena rng h ~k =
       buckets = a.buckets;
       order = a.order;
       from = a.from;
+      side = Kpartition.side_store kp;
+      pins_on = Kpartition.pins_on_store kp;
+      spans = Kpartition.spans_store kp;
+      noff = H.net_offsets_store h;
+      pins = H.net_pins_store h;
+      moff = H.mod_offsets_store h;
+      mnets = H.mod_nets_store h;
+      wts = H.net_weights_store h;
+      min_area = H.min_area h;
+      budget;
+      (* [Kpartition.move_is_feasible] for a module of the direction being
+         walked: it sits in the source part, so only its area is tested. *)
+      feas = (fun v -> areas.(v) <= !budget);
+      chosen_gain = 0;
     }
   in
   let passes, moves =

@@ -50,7 +50,10 @@ let listen_socket addr =
 
 (* One connection: read a line, run it through the engine, write the
    response — strictly in order.  A [drop] response (injected disconnect)
-   severs the connection instead of answering. *)
+   severs the connection instead of answering.  A request counts against
+   the budget only once its reply is flushed (or its connection dropped):
+   reaching the budget shuts down every open connection, which must not
+   sever a reply still being written. *)
 let handle_connection engine fd ~count_request =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -64,17 +67,20 @@ let handle_connection engine fd ~count_request =
           | Engine.Reply r -> r
           | Engine.Queued ticket -> Engine.wait ticket
         in
-        count_request ();
-        if resp.P.drop then (
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        if resp.P.drop then begin
+          (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+          count_request ()
+        end
         else begin
           match
             output_string oc (P.response_to_line resp);
             output_char oc '\n';
             flush oc
           with
-          | () -> loop ()
-          | exception Sys_error _ -> ()
+          | () ->
+              count_request ();
+              loop ()
+          | exception Sys_error _ -> count_request ()
         end
   in
   loop ();

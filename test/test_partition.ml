@@ -349,6 +349,145 @@ let prop_kp_soed_dominates_cut =
       let kp = Kp.random (Rng.create (seed + 4)) h ~k:4 in
       Kp.sum_degrees kp >= Kp.cut kp)
 
+(* ---- Direction skip ----
+
+   Selectors skip a whole gain bucket when [Bp.direction_open] is false or
+   [Kp.move_budget] is below the smallest module area.  The skip is exact
+   only if no module it passes over could have moved: checked here by
+   enumeration, on non-unit areas, in states balanced against bounds drawn
+   tight around them. *)
+
+(* [random_instance seed] with module areas drawn from 3..12. *)
+let weighted_instance seed =
+  let h = random_instance seed in
+  let rng = Rng.create (seed + 101) in
+  H.make
+    ~areas:(Array.init (H.num_modules h) (fun _ -> 3 + Rng.int rng 10))
+    ~nets:
+      (Array.init (H.num_nets h) (fun e -> (H.pins_of h e, H.net_weight h e)))
+    ()
+
+(* Also checks the predicate itself against the side areas a move would
+   leave, so a slip in the shared window arithmetic cannot hide behind
+   the skip agreeing with it. *)
+let bp_skip_is_exact h bp b =
+  let ok = ref true and fired = ref 0 in
+  for v = 0 to H.num_modules h - 1 do
+    let a = H.area h v and a0 = Bp.area_of_side bp 0 in
+    let a0' = if Bp.side bp v = 0 then a0 - a else a0 + a in
+    if Bp.move_is_feasible bp b v <> (a0' >= b.Bp.lo && a0' <= b.Bp.hi) then
+      ok := false
+  done;
+  for s = 0 to 1 do
+    if
+      not
+        (Bp.direction_open bp b s ~min_area:(H.min_area h)
+           ~max_area:(H.max_area h))
+    then begin
+      incr fired;
+      for v = 0 to H.num_modules h - 1 do
+        if Bp.side bp v = s && Bp.move_is_feasible bp b v then ok := false
+      done
+    end
+  done;
+  (!ok, !fired)
+
+let kp_skip_is_exact h kp b =
+  let k = Kp.k kp in
+  let ok = ref true and fired = ref 0 in
+  for v = 0 to H.num_modules h - 1 do
+    let a = H.area h v and p = Kp.side kp v in
+    for q = 0 to k - 1 do
+      let expected =
+        p <> q
+        && Kp.area_of_part kp p - a >= b.Kp.lo
+        && Kp.area_of_part kp q + a <= b.Kp.hi
+      in
+      if Kp.move_is_feasible kp b v q <> expected then ok := false
+    done
+  done;
+  for p = 0 to k - 1 do
+    for q = 0 to k - 1 do
+      if p <> q && Kp.move_budget kp b p q < H.min_area h then begin
+        incr fired;
+        for v = 0 to H.num_modules h - 1 do
+          if Kp.side kp v = p && Kp.move_is_feasible kp b v q then ok := false
+        done
+      end
+    done
+  done;
+  (!ok, !fired)
+
+let prop_bp_skip_exact =
+  QCheck.Test.make ~name:"2-way direction skip passes over no feasible move"
+    ~count:60 QCheck.small_int (fun seed ->
+      let h = weighted_instance seed in
+      let rng = Rng.create (seed + 7) in
+      let bp = Bp.random rng h in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        (* bounds that keep the current state balanced, 0..14 from it *)
+        let a0 = Bp.area_of_side bp 0 in
+        let b = { Bp.lo = a0 - Rng.int rng 15; hi = a0 + Rng.int rng 15 } in
+        if not (fst (bp_skip_is_exact h bp b)) then ok := false;
+        let v = Rng.int rng (H.num_modules h) in
+        if Bp.move_is_feasible bp (Bp.bounds h) v then Bp.move bp v
+      done;
+      !ok)
+
+let prop_kp_skip_exact =
+  QCheck.Test.make ~name:"k-way direction skip passes over no feasible move"
+    ~count:60 QCheck.small_int (fun seed ->
+      let h = weighted_instance seed in
+      let rng = Rng.create (seed + 11) in
+      let k = 2 + Rng.int rng 3 in
+      let kp = Kp.random rng h ~k in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        let lo = ref max_int and hi = ref 0 in
+        for p = 0 to k - 1 do
+          lo := Int.min !lo (Kp.area_of_part kp p);
+          hi := Int.max !hi (Kp.area_of_part kp p)
+        done;
+        let b = { Kp.lo = !lo - Rng.int rng 15; hi = !hi + Rng.int rng 15 } in
+        if not (fst (kp_skip_is_exact h kp b)) then ok := false;
+        let v = Rng.int rng (H.num_modules h) and q = Rng.int rng k in
+        if Kp.move_is_feasible kp (Kp.bounds h ~k) v q then Kp.move kp v q
+      done;
+      !ok)
+
+(* Unit areas, one side or part drained to its lower bound: the skip must
+   fire there, so the properties above are not vacuous. *)
+let test_skip_fires_at_bound () =
+  let h = random_instance 3 in
+  check Alcotest.int "unit areas" 1 (H.min_area h);
+  let bp = Bp.random (Rng.create 4) h in
+  let b = Bp.bounds h in
+  for v = 0 to H.num_modules h - 1 do
+    if Bp.side bp v = 0 && Bp.move_is_feasible bp b v then Bp.move bp v
+  done;
+  check Alcotest.int "side 0 at its lower bound" b.Bp.lo (Bp.area_of_side bp 0);
+  let ok, fired = bp_skip_is_exact h bp b in
+  check Alcotest.bool "2-way skip exact" true ok;
+  check Alcotest.int "2-way skip fires on side 0 only" 1 fired;
+  let k = 3 in
+  let kp = Kp.random (Rng.create 5) h ~k in
+  let b = Kp.bounds h ~k in
+  for v = 0 to H.num_modules h - 1 do
+    if Kp.side kp v = 0 then
+      for q = 1 to k - 1 do
+        if Kp.side kp v = 0 && Kp.move_is_feasible kp b v q then Kp.move kp v q
+      done
+  done;
+  check Alcotest.int "part 0 at its lower bound" b.Kp.lo (Kp.area_of_part kp 0);
+  let ok, fired = kp_skip_is_exact h kp b in
+  check Alcotest.bool "k-way skip exact" true ok;
+  check Alcotest.bool "k-way skip fires out of part 0" true (fired >= k - 1);
+  check Alcotest.int "budget helper agrees"
+    (Kp.budget b ~from_area:(Kp.area_of_part kp 1)
+       ~to_area:(Kp.area_of_part kp 2))
+    (Kp.move_budget kp b 1 2)
+
 (* ---- Objective ---- *)
 
 module Objective = Mlpart_partition.Objective
@@ -454,6 +593,12 @@ let () =
           Alcotest.test_case "move feasibility" `Quick test_kp_move_feasibility;
           qtest prop_kp_incremental;
           qtest prop_kp_soed_dominates_cut;
+        ] );
+      ( "direction-skip",
+        [
+          qtest prop_bp_skip_exact;
+          qtest prop_kp_skip_exact;
+          Alcotest.test_case "fires at a bound" `Quick test_skip_fires_at_bound;
         ] );
       ( "objective",
         [
