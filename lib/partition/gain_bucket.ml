@@ -248,10 +248,6 @@ let select_satisfying t pred =
 let draws_on_select t =
   match t.policy with Random -> true | Lifo | Fifo -> false
 
-let select_max_satisfying t pred =
-  let v = select_satisfying t pred in
-  if v < 0 then None else Some (v, t.key.(v))
-
 let pop_max t =
   match select_max t with
   | None -> None

@@ -71,16 +71,13 @@ val select_max : t -> (int * int) option
 (** Identity and gain of the module the policy picks from the highest
     non-empty bucket, without removing it. *)
 
-val select_max_satisfying : t -> (int -> bool) -> (int * int) option
-(** Like {!select_max} but returns the best stored module satisfying the
-    predicate: buckets are scanned downwards and, within a bucket, in policy
-    order.  Used for balance-feasible selection; cost is proportional to the
-    number of rejected candidates. *)
-
 val select_satisfying : t -> (int -> bool) -> int
-(** Allocation-free {!select_max_satisfying}: the chosen module id, or -1
-    when no stored module satisfies the predicate.  The winner's key is
-    available via {!gain_of}. *)
+(** Like {!select_max} but returns the best stored module satisfying the
+    predicate, or -1 when none does: buckets are scanned downwards and,
+    within a bucket, in policy order.  Used for balance-feasible
+    selection; cost is proportional to the number of rejected candidates,
+    and nothing is allocated.  The winner's key is available via
+    {!gain_of}. *)
 
 val draws_on_select : t -> bool
 (** Does {!select_satisfying} draw from the generator?  True under

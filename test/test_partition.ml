@@ -229,17 +229,15 @@ let test_gb_select_satisfying () =
   Gb.insert t 2 4;
   Gb.insert t 3 2;
   (* refuse the whole top bucket: falls to gain 2 *)
-  match Gb.select_max_satisfying t (fun v -> v = 3) with
-  | Some (v, g) ->
-      check Alcotest.int "fallback module" 3 v;
-      check Alcotest.int "fallback gain" 2 g
-  | None -> Alcotest.fail "expected fallback"
+  let v = Gb.select_satisfying t (fun v -> v = 3) in
+  check Alcotest.int "fallback module" 3 v;
+  check Alcotest.int "fallback gain" 2 (Gb.gain_of t v)
 
 let test_gb_select_satisfying_none () =
   let t = mk Gb.Lifo in
   Gb.insert t 1 0;
-  check Alcotest.bool "no satisfying" true
-    (Gb.select_max_satisfying t (fun _ -> false) = None)
+  check Alcotest.int "no satisfying" (-1)
+    (Gb.select_satisfying t (fun _ -> false))
 
 let test_gb_clear () =
   let t = mk Gb.Lifo in
