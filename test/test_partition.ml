@@ -592,7 +592,7 @@ let () =
           qtest prop_kp_incremental;
           qtest prop_kp_soed_dominates_cut;
         ] );
-      ( "direction-skip",
+      ( "dir_skip",
         [
           qtest prop_bp_skip_exact;
           qtest prop_kp_skip_exact;
