@@ -136,6 +136,174 @@ let prop_consistent_both_objectives =
       let r = Mw.run ~config (Rng.create (seed + 20)) h ~k in
       r.Mw.cut = Mw.cut_of h ~k r.Mw.side && balanced h k r.Mw.side)
 
+(* ---- k-way golden answers ----
+
+   The cut and a side checksum of Multiway, Ml_multiway and Nlevel answers
+   on Rent netlists with module areas 1..4 and net weights 1..3, including
+   pinned modules, given initial assignments and a custom gain.  Any change
+   here means a k-way engine's trajectory changed; on a mismatch the test
+   prints every actual answer in the table's own syntax. *)
+
+let weighted_instance seed =
+  let h = random_instance ~modules:150 seed in
+  let rng = Rng.create (seed + 101) in
+  let areas = Array.init (H.num_modules h) (fun _ -> 1 + Rng.int rng 4) in
+  H.make ~areas
+    ~nets:
+      (Array.init (H.num_nets h) (fun e -> (H.pins_of h e, 1 + Rng.int rng 3)))
+    ()
+
+let checksum side =
+  Array.fold_left (fun acc p -> ((acc * 31) + p + 1) land 0x3FFFFFFF) 0 side
+
+(* Net cut plus sum of degrees: within [±2 * weight], so within the
+   bucket range for every k >= 2. *)
+let cut_plus_soed ~weight ~spans_before ~spans_after =
+  let cut s = if s >= 2 then 1 else 0 in
+  weight * (spans_before - spans_after + cut spans_before - cut spans_after)
+
+let multiway_cases h =
+  let n = H.num_modules h in
+  List.concat_map
+    (fun k ->
+      let fixed =
+        Array.init n (fun v -> if v mod 17 = 0 then v / 17 mod k else -1)
+      in
+      let init = Array.init n (fun v -> v * 7 / 5 mod k) in
+      let pinned_init =
+        Array.mapi (fun v p -> if fixed.(v) >= 0 then fixed.(v) else p) init
+      in
+      List.concat_map
+        (fun (name, objective) ->
+          let config = { Mw.default with objective } in
+          let config = { config with tolerance = 0.0 } in
+          let run ?init ?fixed seed () =
+            let r = Mw.run ~config ?init ?fixed (Rng.create seed) h ~k in
+            (r.Mw.side, r.Mw.cut)
+          in
+          let label v = Printf.sprintf "multiway %s k=%d%s" name k v in
+          [
+            (label "", run 1);
+            (label " fixed", run ~fixed 2);
+            (label " init", run ~init 3);
+            (label " fixed init", run ~fixed ~init:pinned_init 4);
+          ])
+        [
+          ("cut", Mw.Net_cut);
+          ("soed", Mw.Sum_degrees);
+          ("custom", Mw.Custom cut_plus_soed);
+        ])
+    [ 2; 3; 4; 5 ]
+
+let ml_multiway_cases h =
+  let module Mlw = Mlpart_multilevel.Ml_multiway in
+  let fixed =
+    Array.init (H.num_modules h) (fun v -> if v mod 23 = 0 then v mod 4 else -1)
+  in
+  let run ?fixed seed () =
+    let r = Mlw.run ?fixed (Rng.create seed) h ~k:4 in
+    (r.Mlw.side, r.Mlw.cut)
+  in
+  [ ("ml_multiway k=4", run 5); ("ml_multiway k=4 fixed", run ~fixed 6) ]
+
+(* Only seeds and k whose answers lie within [Kp.bounds]. *)
+let nlevel_cases () =
+  let module Nlevel = Mlpart_multilevel.Nlevel in
+  List.map
+    (fun (seed, k) ->
+      ( Printf.sprintf "nlevel seed %d k=%d" seed k,
+        fun () ->
+          let r = Nlevel.run (Rng.create 7) (weighted_instance seed) ~k in
+          (r.Nlevel.side, r.Nlevel.cut) ))
+    [
+      (37, 2); (37, 3); (37, 4); (37, 5); (39, 2); (39, 3); (39, 4); (39, 5);
+      (33, 4); (36, 4);
+    ]
+
+let golden_cases () =
+  let h = weighted_instance 31 in
+  multiway_cases h @ ml_multiway_cases h @ nlevel_cases ()
+
+let golden =
+  [
+  ("multiway cut k=2", 67, 649143423);
+  ("multiway cut k=2 fixed", 49, 501454919);
+  ("multiway cut k=2 init", 64, 453044964);
+  ("multiway cut k=2 fixed init", 62, 891667560);
+  ("multiway soed k=2", 67, 649143423);
+  ("multiway soed k=2 fixed", 49, 501454919);
+  ("multiway soed k=2 init", 64, 453044964);
+  ("multiway soed k=2 fixed init", 62, 891667560);
+  ("multiway custom k=2", 67, 649143423);
+  ("multiway custom k=2 fixed", 49, 501454919);
+  ("multiway custom k=2 init", 64, 453044964);
+  ("multiway custom k=2 fixed init", 62, 891667560);
+  ("multiway cut k=3", 77, 231913285);
+  ("multiway cut k=3 fixed", 109, 228491275);
+  ("multiway cut k=3 init", 80, 210751944);
+  ("multiway cut k=3 fixed init", 105, 416193394);
+  ("multiway soed k=3", 95, 179105568);
+  ("multiway soed k=3 fixed", 93, 753730401);
+  ("multiway soed k=3 init", 84, 355882171);
+  ("multiway soed k=3 fixed init", 95, 484462527);
+  ("multiway custom k=3", 75, 880366280);
+  ("multiway custom k=3 fixed", 102, 879489668);
+  ("multiway custom k=3 init", 86, 825375963);
+  ("multiway custom k=3 fixed init", 99, 972053565);
+  ("multiway cut k=4", 79, 895178150);
+  ("multiway cut k=4 fixed", 96, 852042081);
+  ("multiway cut k=4 init", 113, 272579990);
+  ("multiway cut k=4 fixed init", 118, 518218521);
+  ("multiway soed k=4", 103, 580173880);
+  ("multiway soed k=4 fixed", 113, 136117930);
+  ("multiway soed k=4 init", 89, 527320482);
+  ("multiway soed k=4 fixed init", 115, 139664941);
+  ("multiway custom k=4", 77, 723161450);
+  ("multiway custom k=4 fixed", 110, 746098622);
+  ("multiway custom k=4 init", 101, 159694536);
+  ("multiway custom k=4 fixed init", 91, 239353988);
+  ("multiway cut k=5", 133, 518028620);
+  ("multiway cut k=5 fixed", 123, 84626721);
+  ("multiway cut k=5 init", 131, 975646581);
+  ("multiway cut k=5 fixed init", 134, 94999384);
+  ("multiway soed k=5", 109, 235457767);
+  ("multiway soed k=5 fixed", 126, 776299882);
+  ("multiway soed k=5 init", 117, 575879105);
+  ("multiway soed k=5 fixed init", 120, 1019607694);
+  ("multiway custom k=5", 94, 560093663);
+  ("multiway custom k=5 fixed", 114, 1054886683);
+  ("multiway custom k=5 init", 103, 228457332);
+  ("multiway custom k=5 fixed init", 112, 287808396);
+  ("ml_multiway k=4", 82, 209619443);
+  ("ml_multiway k=4 fixed", 96, 755811750);
+  ("nlevel seed 37 k=2", 47, 762041673);
+  ("nlevel seed 37 k=3", 64, 272641567);
+  ("nlevel seed 37 k=4", 75, 271759025);
+  ("nlevel seed 37 k=5", 71, 450135801);
+  ("nlevel seed 39 k=2", 46, 205728801);
+  ("nlevel seed 39 k=3", 78, 196793019);
+  ("nlevel seed 39 k=4", 91, 554134821);
+  ("nlevel seed 39 k=5", 98, 1018514111);
+  ("nlevel seed 33 k=4", 70, 266266681);
+  ("nlevel seed 36 k=4", 85, 589395007)
+  ]
+
+let test_kway_golden () =
+  let actual =
+    List.map
+      (fun (label, run) ->
+        let side, cut = run () in
+        (label, cut, checksum side))
+      (golden_cases ())
+  in
+  if actual <> golden then
+    Alcotest.failf "k-way answers changed; actual:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (label, cut, sum) ->
+              Printf.sprintf "    (%S, %d, %d);" label cut sum)
+            actual))
+
 let () =
   Alcotest.run "multiway"
     [
@@ -156,5 +324,6 @@ let () =
           Alcotest.test_case "custom quadratic objective" `Quick
             test_custom_objective_quadratic;
           qtest prop_consistent_both_objectives;
+          Alcotest.test_case "k-way golden answers" `Quick test_kway_golden;
         ] );
     ]
