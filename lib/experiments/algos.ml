@@ -170,7 +170,7 @@ let kway name ~arity ~fixed run = entry name ~arity ~balanced:false ~fixed run
 
 let nlevel =
   kway "nlevel" ~arity:Any ~fixed:false (fun ?fixed:_ ?pool:_ ~tolerance rng h ~k ->
-      let r = Nlevel.run ~config:{ Nlevel.default with tolerance } rng h ~k in
+      let r = Nlevel.run ~tolerance rng h ~k in
       (r.Nlevel.side, r.Nlevel.cut))
 
 let rb =
@@ -184,8 +184,7 @@ let rb =
 let multiway ratio =
   kway "multiway" ~arity:Any ~fixed:true (fun ?fixed ?pool:_ ~tolerance rng h ~k ->
       let config =
-        { Ml_multiway.default with
-          ratio; engine = { Multiway.default with tolerance } }
+        { Ml_multiway.ratio; engine = { Multiway.default with tolerance } }
       in
       let r = Ml_multiway.run ~config ?fixed rng h ~k in
       (r.Ml_multiway.side, r.Ml_multiway.cut))

@@ -2,33 +2,25 @@ module H = Mlpart_hypergraph.Hypergraph
 module Rng = Mlpart_util.Rng
 module Multiway = Mlpart_partition.Multiway
 
-type config = {
-  threshold : int;
-  ratio : float;
-  match_net_size : int;
-  merge_duplicates : bool;
-  engine : Multiway.config;
-  max_levels : int;
-}
+type config = { ratio : float; engine : Multiway.config }
 
-let default =
-  {
-    threshold = 100;
-    ratio = 1.0;
-    match_net_size = 10;
-    merge_duplicates = false;
-    engine = Multiway.default;
-    max_levels = 64;
-  }
+let default = { ratio = 1.0; engine = Multiway.default }
+
+(* Coarsening constants: the paper's T = 100 for quadrisection, and, as in
+   [Ml.mlf], matching over nets of at most 10 pins, duplicate nets kept
+   (Definition 1 taken literally) and a depth bound only a coarsening
+   stall could reach. *)
+let threshold = 100
+let match_net_size = 10
+let merge_duplicates = false
+let max_levels = 64
 
 type result = { side : int array; cut : int; levels : int; coarsest_modules : int }
 
 let run ?(config = default) ?fixed rng h ~k =
   let hierarchy =
-    Hierarchy.build ~threshold:config.threshold ~ratio:config.ratio
-      ~match_net_size:config.match_net_size
-      ~merge_duplicates:config.merge_duplicates ~max_levels:config.max_levels
-      ?fixed rng h
+    Hierarchy.build ~threshold ~ratio:config.ratio ~match_net_size
+      ~merge_duplicates ~max_levels ?fixed rng h
   in
   (* One engine arena shared by the initial partition and every
      refinement level, as in Ml.refine_up. *)

@@ -7,16 +7,13 @@
     during coarsening and never moved during refinement. *)
 
 type config = {
-  threshold : int;  (** paper uses T = 100 for quadrisection *)
-  ratio : float;
-  match_net_size : int;
-  merge_duplicates : bool;
+  ratio : float;  (** matching ratio R *)
   engine : Mlpart_partition.Multiway.config;
-  max_levels : int;
 }
 
 val default : config
-(** T = 100, R = 1.0, sum-of-degrees gain — the Table IX MLf setting. *)
+(** R = 1.0, sum-of-degrees gain — the Table IX MLf setting.  Coarsening
+    stops at the paper's T = 100 modules. *)
 
 type result = {
   side : int array;

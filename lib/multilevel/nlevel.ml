@@ -4,8 +4,6 @@ module Multistart = Mlpart_util.Multistart
 module Trace = Mlpart_obs.Trace
 module Metrics = Mlpart_obs.Metrics
 module Cache = Mlpart_partition.Gain_cache
-module Gain_bucket = Mlpart_partition.Gain_bucket
-module Refine_core = Mlpart_partition.Refine_core
 module Multiway = Mlpart_partition.Multiway
 module Kpartition = Mlpart_partition.Kpartition
 
@@ -14,32 +12,31 @@ let m_contractions = Metrics.counter "nlevel.contractions"
 let m_uncontractions = Metrics.counter "nlevel.uncontractions"
 let m_moves = Metrics.counter "nlevel.moves"
 
-type config = {
-  threshold : int;
-  max_net_size : int;
-  cluster_area_factor : float;
-  net_threshold : int;
-  tolerance : float;
-  initial_starts : int;
-  local_moves_cap : int;
-  final_passes : int;
-}
+(* Contraction stops at [max threshold (2 k)] live vertices: few enough
+   for cheap multi-start initial partitioning, enough for k parts. *)
+let threshold = 40
 
-let default =
-  {
-    threshold = 40;
-    max_net_size = 50;
-    cluster_area_factor = 4.0;
-    net_threshold = 200;
-    tolerance = 0.1;
-    initial_starts = 4;
-    local_moves_cap = 32;
-    final_passes = 4;
-  }
+(* Nets above this size are invisible to pair ratings: sharing a huge net
+   says little about which two of its pins belong together. *)
+let max_net_size = 50
+
+(* A pair may merge only while its area stays within this factor of the
+   average coarse vertex (total area / threshold), so no cluster grows too
+   large to balance. *)
+let cluster_area_factor = 4.0
+
+(* Seeded Multiway starts on the coarsest snapshot; the best cut wins. *)
+let initial_starts = 4
+
+(* Move budget of the localized refinement around each restored pair,
+   which keeps every uncontraction step cheap. *)
+let local_moves_cap = 32
+
+(* Passes of the final FM polish; the localized refinement already did
+   most of the work. *)
+let polish_passes = 4
 
 type result = { side : int array; cut : int; contractions : int; moves : int }
-
-let cut_of = Multiway.cut_of
 
 (* One contraction's undo record: [v] was merged into [u].  [both] are the
    nets that held both endpoints (v's pin was dropped, shrinking the live
@@ -166,7 +163,7 @@ let make_scratch n =
     ncand = 0;
   }
 
-let best_partner hy sc ~max_net_size ~area_cap u =
+let best_partner hy sc ~area_cap u =
   let g = hy.g in
   sc.stamp <- sc.stamp + 1;
   sc.ncand <- 0;
@@ -209,7 +206,13 @@ let best_partner hy sc ~max_net_size ~area_cap u =
    best-rated partner immediately (so later ratings in the same sweep see
    the updated structure); stop at the target size or when a whole sweep
    finds nothing contractible. *)
-let coarsen hy rng ~stop_at ~max_net_size ~area_cap =
+let coarsen hy rng h ~stop_at =
+  let area_cap =
+    Stdlib.max (H.max_area h)
+      (int_of_float
+         (cluster_area_factor *. float_of_int (H.total_area h)
+         /. float_of_int stop_at))
+  in
   let n = Array.length hy.alive in
   let sc = make_scratch n in
   let perm = Array.init n Fun.id in
@@ -222,7 +225,7 @@ let coarsen hy rng ~stop_at ~max_net_size ~area_cap =
          (fun u ->
            if hy.n_alive <= stop_at then raise Exit;
            if hy.alive.(u) then
-             let v = best_partner hy sc ~max_net_size ~area_cap u in
+             let v = best_partner hy sc ~area_cap u in
              if v >= 0 then begin
                contract hy u v;
                progress := true
@@ -231,18 +234,9 @@ let coarsen hy rng ~stop_at ~max_net_size ~area_cap =
      with Exit -> ())
   done
 
-let coarsen_only ?(threshold = default.threshold)
-    ?(max_net_size = default.max_net_size)
-    ?(cluster_area_factor = default.cluster_area_factor) rng h =
+let coarsen_only ?(threshold = threshold) rng h =
   let hy = hierarchy_of h in
-  let total = H.total_area h in
-  let area_cap =
-    Stdlib.max (H.max_area h)
-      (int_of_float
-         (cluster_area_factor *. float_of_int total
-         /. float_of_int (Stdlib.max 1 threshold)))
-  in
-  coarsen hy rng ~stop_at:(Stdlib.max 1 threshold) ~max_net_size ~area_cap;
+  coarsen hy rng h ~stop_at:(Stdlib.max 1 threshold);
   hy
 
 let uncontract_all hy =
@@ -296,70 +290,20 @@ let coarse_snapshot hy =
 
 (* Multi-start initial k-way partition of the coarsest snapshot, projected
    onto the live roots.  Ties keep the earliest start. *)
-let initial_partition cfg rng hy side ~k =
+let initial_partition ~tolerance rng hy side ~k =
   let snap, members = coarse_snapshot hy in
-  let mcfg =
-    {
-      Multiway.default with
-      objective = Multiway.Net_cut;
-      net_threshold = cfg.net_threshold;
-      tolerance = cfg.tolerance;
-    }
-  in
+  let config = { Multiway.objective = Multiway.Net_cut; tolerance } in
   let r, _ =
-    Multistart.best ~starts:cfg.initial_starts
+    Multistart.best ~starts:initial_starts
       ~cut:(fun r -> r.Multiway.cut)
-      (fun rng -> Multiway.run ~config:mcfg rng snap ~k)
+      (fun rng -> Multiway.run ~config rng snap ~k)
       rng
   in
   Array.iteri (fun i v -> side.(v) <- r.Multiway.side.(i)) members;
   members
 
-(* The coarsest partition was balanced against the snapshot's own slack
-   (larger clusters, larger slack); pull any overfull part back under the
-   finest-level bound with the cheapest outbound moves before uncoarsening
-   starts. *)
-let rebalance_coarse cache members (bounds : Kpartition.bounds) =
-  let k = Cache.k cache in
-  let continue = ref true in
-  let guard = ref (Array.length members * k) in
-  while !continue && !guard > 0 do
-    decr guard;
-    continue := false;
-    let over = ref (-1) in
-    for p = k - 1 downto 0 do
-      if Cache.part_area cache p > bounds.hi then over := p
-    done;
-    if !over >= 0 then begin
-      let p = !over in
-      let best_v = ref (-1) and best_q = ref (-1) in
-      let best_g = ref min_int in
-      Array.iter
-        (fun v ->
-          if Cache.side cache v = p then
-            let a = Cache.area cache v in
-            for q = 0 to k - 1 do
-              if q <> p && Cache.part_area cache q + a <= bounds.hi then begin
-                let g = Cache.gain cache v q in
-                if g > !best_g then begin
-                  best_g := g;
-                  best_v := v;
-                  best_q := q
-                end
-              end
-            done)
-        members;
-      if !best_v >= 0 then begin
-        Cache.move cache !best_v !best_q;
-        continue := true
-      end
-    end
-  done
-
-(* Localized refinement around the just-restored pair: greedy strictly
-   positive-gain moves seeded at {u, v}; every move activates the modules
-   whose cached gains it touched.  The cut is monotone non-increasing, so
-   the loop terminates; the cap bounds the worst case. *)
+(* The modules a greedy scan may move: a stamped set that grows as moves
+   touch neighbours' gains. *)
 type active = {
   items : int array;
   mutable len : int;
@@ -377,143 +321,122 @@ let activate_vertex act v =
     act.len <- act.len + 1
   end
 
-let local_refine cfg cache act (bounds : Kpartition.bounds) u v =
-  let k = Cache.k cache in
+let reset_active act vs =
   act.astamp <- act.astamp + 1;
   act.len <- 0;
-  activate_vertex act u;
-  activate_vertex act v;
-  let moves = ref 0 in
-  let continue = ref true in
-  while !continue && !moves < cfg.local_moves_cap do
-    continue := false;
-    let best_v = ref (-1) and best_q = ref (-1) in
-    let best_g = ref 0 in
-    for i = 0 to act.len - 1 do
-      let w = act.items.(i) in
-      let p = Cache.side cache w in
-      let a = Cache.area cache w in
-      if Cache.part_area cache p - a >= bounds.lo then
-        for q = 0 to k - 1 do
-          if q <> p && Cache.part_area cache q + a <= bounds.hi then begin
-            let g = Cache.gain cache w q in
-            if g > !best_g then begin
-              best_g := g;
-              best_v := w;
-              best_q := q
-            end
-          end
-        done
-    done;
-    if !best_v >= 0 then begin
-      Cache.move
-        ~on_delta:(fun w _ _ -> activate_vertex act w)
-        cache !best_v !best_q;
-      incr moves;
-      continue := true
-    end
-  done;
-  !moves
+  Array.iter (activate_vertex act) vs
 
-(* Full k-way FM polish at the finest level, on the shared move loop: one
-   direction bucket per ordered part pair keyed by *cached* gains — no
-   per-pass gain recomputation, the cache carried every delta here.  Every
-   module is uncontracted by now, so cached areas are the netlist's and a
-   direction whose balance budget is below its smallest module area is
-   skipped unwalked. *)
-let final_refine cfg cache rng h (bounds : Kpartition.bounds) =
-  let n = H.num_modules h in
-  let k = Cache.k cache in
-  let wdeg = Stdlib.max 1 (H.max_weighted_degree h) in
-  let buckets =
-    Array.init (k * k) (fun _ ->
-        Gain_bucket.create ~rng:(Rng.split rng) ~policy:Gain_bucket.Lifo
-          ~min_gain:(-wdeg) ~max_gain:wdeg ~capacity:n ())
-  in
-  let locked = Array.make n false in
-  let from_of = Array.make n 0 in
-  let order = Array.make n 0 in
-  let chosen_q = ref (-1) in
-  let fill () =
-    Array.fill locked 0 n false;
-    Array.iter Gain_bucket.clear buckets;
-    for v = 0 to n - 1 do
-      let p = Cache.side cache v in
+(* Greedy moves on cached gains: the best move of an active module to a
+   part, over the directions [open_ p q] admits, of a module within
+   [Kpartition.budget bounds] of its direction and with a gain above
+   [floor]; ties go to the earlier active module, then the lower part.
+   Repeats until no move qualifies or [cap] moves are made, and every move
+   activates the modules whose gains it touched.  Returns the move count. *)
+let greedy cache act bounds ~floor ~open_ ~cap =
+  let k = Cache.k cache and part_area = Cache.part_areas cache in
+  let moves = ref 0 and continue = ref true in
+  while !continue && !moves < cap do
+    let best = ref (-1) and best_g = ref floor in
+    for i = 0 to act.len - 1 do
+      let v = act.items.(i) in
+      let p = Cache.side cache v and a = Cache.area cache v in
       for q = 0 to k - 1 do
-        if q <> p then Gain_bucket.insert buckets.((p * k) + q) v (Cache.gain cache v q)
-      done
-    done
-  in
-  let min_area = H.min_area h in
-  let budget = ref 0 in
-  let feas v = Cache.area cache v <= !budget in
-  let select () =
-    let best_v = ref (-1) and best_g = ref min_int in
-    chosen_q := -1;
-    for p = 0 to k - 1 do
-      for q = 0 to k - 1 do
-        if q <> p then begin
-          budget :=
-            Kpartition.budget bounds ~from_area:(Cache.part_area cache p)
-              ~to_area:(Cache.part_area cache q);
-          if !budget >= min_area then begin
-            let b = buckets.((p * k) + q) in
-            let v = Gain_bucket.select_satisfying b feas in
-            if v >= 0 then begin
-              let g = Gain_bucket.gain_of b v in
-              if g > !best_g then begin
-                best_g := g;
-                best_v := v;
-                chosen_q := q
-              end
-            end
+        if
+          q <> p && open_ p q
+          && a
+             <= Kpartition.budget bounds ~from_area:part_area.(p)
+                  ~to_area:part_area.(q)
+        then begin
+          let g = Cache.gain cache v q in
+          if g > !best_g then begin
+            best_g := g;
+            best := (v * k) + q
           end
         end
       done
     done;
-    !best_v
-  in
-  let ops =
-    {
-      Refine_core.select;
-      commit =
-        (fun v ->
-          let p = Cache.side cache v in
-          let q = !chosen_q in
-          locked.(v) <- true;
-          for r = 0 to k - 1 do
-            if r <> p then Gain_bucket.remove buckets.((p * k) + r) v
-          done;
-          from_of.(v) <- p;
-          let g = Cache.gain cache v q in
-          Cache.move
-            ~on_delta:(fun w r d ->
-              if not locked.(w) then
-                Gain_bucket.adjust buckets.((Cache.side cache w * k) + r) w d)
-            cache v q;
-          g);
-      undo = (fun v -> Cache.move cache v from_of.(v));
-      rebuild = (fun ~first_bad:_ ~kept:_ -> ());
-    }
-  in
-  Refine_core.drive ~max_passes:cfg.final_passes (fun ~pass:_ ->
-      fill ();
-      Refine_core.run_pass ~order ops)
+    if !best < 0 then continue := false
+    else begin
+      Cache.move
+        ~on_delta:(fun w _ _ -> activate_vertex act w)
+        cache (!best / k) (!best mod k);
+      incr moves
+    end
+  done;
+  !moves
 
-let run ?(config = default) rng h ~k =
+(* The coarsest partition was balanced against the snapshot's own slack
+   (larger clusters, larger slack); pull the first overfull part back under
+   the finest-level bound with its best moves before uncoarsening starts.
+   Only the target's bound binds ([lo = 0] never does: no module outweighs
+   its own part), since a cluster may be wider than the whole window. *)
+let drain_coarse cache act members bounds =
+  let k = Cache.k cache and part_area = Cache.part_areas cache in
+  let rec first_over p =
+    if p = k || Kpartition.excess bounds part_area.(p) > 0 then p
+    else first_over (p + 1)
+  in
+  reset_active act members;
+  ignore
+    (greedy cache act
+       { bounds with Kpartition.lo = 0 }
+       ~floor:min_int
+       ~open_:(fun p _ -> p = first_over 0)
+       ~cap:(Array.length members * k))
+
+(* Localized refinement around the just-restored pair: strictly
+   positive-gain moves seeded at {u, v}.  The cut is monotone
+   non-increasing, so the loop terminates; the cap bounds the worst case. *)
+let local_refine cache act bounds u v =
+  reset_active act [| u; v |];
+  greedy cache act bounds ~floor:0
+    ~open_:(fun _ _ -> true)
+    ~cap:local_moves_cap
+
+(* Full k-way FM polish at the finest level: Multiway's pass over the
+   cached gains, which the cache's move keeps exact, so no pass recomputes
+   a gain.  Neither the coarse drain nor the localized refinement promises
+   the finest-level bounds: when the polish ends with a part outside them,
+   the best moves out of overfull parts or into underfull ones (each within
+   its budget, so it never pushes another part out) restore them, and a
+   second polish follows.  Returns (passes, moves). *)
+let polish cache act rng h bounds =
+  let n = H.num_modules h and k = Cache.k cache in
+  let part_area = Cache.part_areas cache in
+  let arena = Multiway.create_arena () in
+  let pass () =
+    Multiway.refine ~max_passes:polish_passes
+      ~max_gain:(Stdlib.max 1 (H.max_weighted_degree h))
+      arena rng h ~k bounds
+      {
+        Multiway.side = Cache.side_array cache;
+        part_area;
+        gain = Cache.gain cache;
+        move = (fun on_delta v q -> Cache.move ~on_delta cache v q);
+        undo = Cache.move cache;
+      }
+  in
+  let passes, moves = pass () in
+  let excess p = Kpartition.excess bounds part_area.(p) in
+  if Array.for_all (fun a -> Kpartition.excess bounds a = 0) part_area then
+    (passes, moves)
+  else begin
+    reset_active act (Array.init n Fun.id);
+    let repairs =
+      greedy cache act bounds ~floor:min_int
+        ~open_:(fun p q -> excess p > 0 || excess q < 0)
+        ~cap:(n * k)
+    in
+    let passes', moves' = pass () in
+    (passes + passes', moves + repairs + moves')
+  end
+
+let run ?(tolerance = 0.1) rng h ~k =
   if k < 2 then invalid_arg "Nlevel.run: k must be >= 2";
   let n = H.num_modules h in
   let hy = hierarchy_of h in
-  let stop_at = Stdlib.max config.threshold (2 * k) in
-  let area_cap =
-    Stdlib.max (H.max_area h)
-      (int_of_float
-         (config.cluster_area_factor
-         *. float_of_int (H.total_area h)
-         /. float_of_int stop_at))
-  in
   let t0 = Trace.start () in
-  coarsen hy rng ~stop_at ~max_net_size:config.max_net_size ~area_cap;
+  coarsen hy rng h ~stop_at:(Stdlib.max threshold (2 * k));
   if Trace.enabled () then
     Trace.complete ~cat:"nlevel"
       ~args:
@@ -524,13 +447,11 @@ let run ?(config = default) rng h ~k =
       "nlevel/contract" t0;
   Metrics.add m_contractions hy.contractions;
   let side = Array.make n 0 in
-  let members = initial_partition config rng hy side ~k in
-  let cache =
-    Cache.create ~net_threshold:config.net_threshold hy.g ~k ~members side
-  in
-  let bounds = Kpartition.bounds ~tolerance:config.tolerance h ~k in
-  rebalance_coarse cache members bounds;
+  let members = initial_partition ~tolerance rng hy side ~k in
+  let cache = Cache.create hy.g ~k ~members side in
+  let bounds = Kpartition.bounds ~tolerance h ~k in
   let act = make_active n in
+  drain_coarse cache act members bounds;
   let local_moves = ref 0 in
   let uncontractions = ref 0 in
   let t1 = Trace.start () in
@@ -541,7 +462,7 @@ let run ?(config = default) rng h ~k =
         hy.trail <- rest;
         uncontract ~cache hy m;
         incr uncontractions;
-        local_moves := !local_moves + local_refine config cache act bounds m.u m.v;
+        local_moves := !local_moves + local_refine cache act bounds m.u m.v;
         replay ()
   in
   replay ();
@@ -555,7 +476,7 @@ let run ?(config = default) rng h ~k =
       "nlevel/uncontract" t1;
   Metrics.add m_uncontractions !uncontractions;
   let t2 = Trace.start () in
-  let passes, fm_moves = final_refine config cache rng h bounds in
+  let passes, fm_moves = polish cache act rng h bounds in
   if Trace.enabled () then
     Trace.complete ~cat:"nlevel"
       ~args:[ ("passes", Trace.Int passes); ("moves", Trace.Int fm_moves) ]

@@ -8,25 +8,13 @@
     highly localized refinement around each restored pair on top of a
     persistent {!Mlpart_partition.Gain_cache}, so gains are delta-updated
     across the whole uncoarsening instead of being rebuilt per level.  A
-    final full k-way FM polish (shared {!Mlpart_partition.Refine_core}
-    move loop) runs once the finest graph is restored.
+    final full k-way FM polish ({!Mlpart_partition.Multiway.refine} over
+    the cached gains) runs once the finest graph is restored; should a part
+    still lie outside the bounds, a balance repair and a second polish
+    follow.
 
     The engine is strictly sequential and deterministic: results depend
     only on the seed, never on a worker pool. *)
-
-type config = {
-  threshold : int;  (** stop contracting at [max threshold (2 k)] vertices *)
-  max_net_size : int;  (** nets above this size are invisible to ratings *)
-  cluster_area_factor : float;
-      (** pair area cap = factor * total_area / threshold *)
-  net_threshold : int;  (** gain-cache net-size threshold *)
-  tolerance : float;  (** balance tolerance (paper's r), per part *)
-  initial_starts : int;  (** multi-start count for the coarsest partition *)
-  local_moves_cap : int;  (** move budget per uncontraction step *)
-  final_passes : int;  (** max full FM passes at the finest level *)
-}
-
-val default : config
 
 type result = {
   side : int array;
@@ -36,16 +24,14 @@ type result = {
 }
 
 val run :
-  ?config:config ->
+  ?tolerance:float ->
   Mlpart_util.Rng.t ->
   Mlpart_hypergraph.Hypergraph.t ->
   k:int ->
   result
-(** [run rng h ~k] partitions [h] into [k >= 2] parts.  Deterministic in
-    [rng]'s seed. *)
-
-val cut_of : Mlpart_hypergraph.Hypergraph.t -> k:int -> int array -> int
-(** Weighted multi-way cut of an assignment. *)
+(** [run rng h ~k] partitions [h] into [k >= 2] parts, each within
+    [Kpartition.bounds ~tolerance] (the paper's r per part, default 0.1).
+    Deterministic in [rng]'s seed. *)
 
 (** {1 Hierarchy internals (for property tests)}
 
@@ -56,8 +42,6 @@ type hierarchy
 
 val coarsen_only :
   ?threshold:int ->
-  ?max_net_size:int ->
-  ?cluster_area_factor:float ->
   Mlpart_util.Rng.t ->
   Mlpart_hypergraph.Hypergraph.t ->
   hierarchy

@@ -26,10 +26,14 @@ let graph_of_hypergraph h =
     mod_deg = Array.init n (fun v -> moff.(v + 1) - moff.(v));
   }
 
+(* Nets with more pins than this are invisible to gains but still counted
+   in the cut, as in [Fm.default] and [Multiway]: one move almost never
+   uncuts such a net, and its pins would dominate every gain update. *)
+let net_threshold = 200
+
 type t = {
   g : graph;
   k : int;
-  thr : int;
   side : int array;
   pins_on : int array; (* (k*e)+p: live pins of net e in part p *)
   spans : int array; (* parts with >= 1 pin, per net *)
@@ -47,7 +51,7 @@ type t = {
    (gain 0 everywhere), which keeps the decomposition total. *)
 let add_net_terms ?on_delta ?(silent = -1) t e sign =
   let s = t.g.net_size.(e) in
-  if s <= t.thr then begin
+  if s <= net_threshold then begin
     let w = sign * t.g.net_weight.(e) in
     let base = t.k * e in
     let pins = t.g.net_pins.(e) in
@@ -103,13 +107,12 @@ let rederive_net ?on_delta ?silent t e =
 let net_will_change t e = retract_net t e
 let net_changed t e = rederive_net t e
 
-let create ?(net_threshold = 200) g ~k ~members side =
+let create g ~k ~members side =
   let n = Array.length g.mod_deg and m = Array.length g.net_size in
   let t =
     {
       g;
       k;
-      thr = net_threshold;
       side;
       pins_on = Array.make (k * m) 0;
       spans = Array.make m 0;
@@ -131,7 +134,7 @@ let k t = t.k
 let side t v = t.side.(v)
 let side_array t = t.side
 let cut t = t.cut
-let part_area t p = t.part_areas.(p)
+let part_areas t = t.part_areas
 let area t v = t.g.areas.(v)
 let gain t v q = t.benefit.((t.k * v) + q) - t.penalty.(v)
 
@@ -159,7 +162,7 @@ let recompute_gain t v q =
   for i = 0 to t.g.mod_deg.(v) - 1 do
     let e = t.g.mod_nets.(v).(i) in
     let s = t.g.net_size.(e) in
-    if s <= t.thr then begin
+    if s <= net_threshold then begin
       let w = t.g.net_weight.(e) in
       let base = t.k * e in
       if t.pins_on.(base + p) = s then total := !total - w;

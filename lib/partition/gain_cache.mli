@@ -9,7 +9,7 @@
       [v]'s part is [v] and whose remaining pins all sit in [q] (moving
       [v] to [q] uncuts them),
 
-    with [gain v q = b(v, q) - p(v)].  Nets larger than [net_threshold] are
+    with [gain v q = b(v, q) - p(v)].  Nets of more than 200 pins are
     invisible to gains but still tracked for the incremental cut.
 
     The backing {!graph} is a growable pins/incidence view (arrays of
@@ -45,8 +45,7 @@ val graph_of_hypergraph : Mlpart_hypergraph.Hypergraph.t -> graph
 
 type t
 
-val create :
-  ?net_threshold:int -> graph -> k:int -> members:int array -> int array -> t
+val create : graph -> k:int -> members:int array -> int array -> t
 (** [create g ~k ~members side] builds the cache for the current live
     structure of [g].  [members] lists the alive modules (for part areas);
     [side] is borrowed — the cache owns all writes to it from then on.
@@ -61,7 +60,8 @@ val side_array : t -> int array
 val cut : t -> int
 (** Current weighted cut, maintained incrementally. *)
 
-val part_area : t -> int -> int
+val part_areas : t -> int array
+(** [.(p)] is the area of part [p] (live; read-only). *)
 
 val area : t -> int -> int
 (** Current area of a module (reads the shared {!graph} array, which the

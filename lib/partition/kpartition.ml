@@ -75,19 +75,6 @@ let random ?fixed rng h ~k =
     perm;
   create h ~k side
 
-let copy t =
-  {
-    h = t.h;
-    k = t.k;
-    side = Array.copy t.side;
-    pins_on = Array.copy t.pins_on;
-    spans = Array.copy t.spans;
-    areas = Array.copy t.areas;
-    cut = t.cut;
-    sum_degrees = t.sum_degrees;
-  }
-
-let hypergraph t = t.h
 let k t = t.k
 let side t v = t.side.(v)
 let side_array t = Array.copy t.side
@@ -99,6 +86,7 @@ let sum_degrees t = t.sum_degrees
 let side_store t = t.side
 let pins_on_store t = t.pins_on
 let spans_store t = t.spans
+let areas_store t = t.areas
 
 type bounds = { lo : int; hi : int }
 
@@ -111,12 +99,10 @@ let bounds ?(tolerance = 0.1) h ~k =
   in
   { lo = Stdlib.max 0 (share - slack); hi = Stdlib.min total (share + slack + k) }
 
-let is_balanced t b =
-  let ok = ref true in
-  for p = 0 to t.k - 1 do
-    if t.areas.(p) < b.lo || t.areas.(p) > b.hi then ok := false
-  done;
-  !ok
+let excess b area =
+  if area > b.hi then area - b.hi else if area < b.lo then area - b.lo else 0
+
+let is_balanced t b = Array.for_all (fun a -> excess b a = 0) t.areas
 
 (* The one place the k-way balance arithmetic lives: a module of area [a]
    may leave a part of area [from_area] for one of area [to_area] iff

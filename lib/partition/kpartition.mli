@@ -20,8 +20,6 @@ val random :
     lightest part.  [fixed.(v) >= 0] pre-assigns module [v] (the paper's
     pre-placed I/O pads); [-1] means free. *)
 
-val copy : t -> t
-val hypergraph : t -> Mlpart_hypergraph.Hypergraph.t
 val k : t -> int
 val side : t -> int -> int
 val side_array : t -> int array
@@ -54,10 +52,17 @@ val pins_on_store : t -> int array
 val spans_store : t -> int array
 (** [.(e)] is the number of parts net [e] touches. *)
 
+val areas_store : t -> int array
+(** [.(p)] is the area of part [p]. *)
+
 type bounds = { lo : int; hi : int }
 
 val bounds : ?tolerance:float -> Mlpart_hypergraph.Hypergraph.t -> k:int -> bounds
 (** Per-part area window [A(V)/k ± max (A(v_max), r * A(V) / k)]. *)
+
+val excess : bounds -> int -> int
+(** [excess b area] is how far a part of [area] lies outside [b]: positive
+    above [hi], negative below [lo], 0 within. *)
 
 val is_balanced : t -> bounds -> bool
 

@@ -6,30 +6,16 @@ type objective =
   | Sum_degrees
   | Custom of (weight:int -> spans_before:int -> spans_after:int -> int)
 
-type config = {
-  objective : objective;
-  policy : Gain_bucket.policy;
-  net_threshold : int;
-  tolerance : float;
-  max_passes : int;
-}
+type config = { objective : objective; tolerance : float }
 
-let default =
-  {
-    objective = Sum_degrees;
-    policy = Gain_bucket.Lifo;
-    net_threshold = 200;
-    tolerance = 0.1;
-    max_passes = max_int;
-  }
+let default = { objective = Sum_degrees; tolerance = 0.1 }
 
-type result = {
-  side : int array;
-  cut : int;
-  sum_degrees : int;
-  passes : int;
-  moves : int;
-}
+(* Nets with more pins than this are invisible to gains but still counted
+   in the cut, as in [Fm.default]: one move almost never uncuts such a net,
+   and its pins would dominate every gain update. *)
+let net_threshold = 200
+
+type result = { side : int array; cut : int; sum_degrees : int }
 
 let cut_of h ~k side = Kpartition.cut (Kpartition.create h ~k side)
 
@@ -38,10 +24,10 @@ let cut_of h ~k side = Kpartition.cut (Kpartition.create h ~k side)
    multilevel k-way driver threads one arena through every level.  Not safe
    to share between domains. *)
 type arena = {
-  mutable locked : bool array;
-  mutable order : int array;
-  mutable from : int array;
-  mutable buckets : Gain_bucket.t array;
+  mutable locked : bool array; (* moved this pass, or fixed *)
+  mutable order : int array; (* move stack: candidates (v * k) + q *)
+  mutable from : int array; (* source part of each module moved this pass *)
+  mutable buckets : Gain_bucket.t array; (* (p * k) + q, p <> q *)
 }
 
 let create_arena () = { locked = [||]; order = [||]; from = [||]; buckets = [||] }
@@ -62,17 +48,110 @@ let ensure_arena a n k =
               ~capacity:0 ())
   end
 
+(* ---- The k-way FM pass ---- *)
+
+type source = {
+  side : int array;
+  part_area : int array;
+  gain : int -> int -> int;
+  move : (int -> int -> int -> unit) -> int -> int -> unit;
+  undo : int -> int -> unit;
+}
+
+(* One LIFO bucket per direction (p, q), keyed by [src.gain] at pass start
+   and kept exact by the deltas [src.move] reports.  Each select keeps the
+   best feasible head over all k(k-1) directions, ties to the first in
+   (p, q) order; a direction whose balance budget is below the smallest
+   module area is skipped unwalked.  A candidate encodes module [v] and
+   target [q] as [(v * k) + q]. *)
+let refine ?fixed ?(max_passes = max_int) ~max_gain a rng h ~k
+    (bounds : Kpartition.bounds) src =
+  let n = H.num_modules h in
+  ensure_arena a n k;
+  (* One split per direction bucket in ascending (p * k + q) order: LIFO
+     buckets never draw, but the splits advance the caller's generator. *)
+  for i = 0 to (k * k) - 1 do
+    Gain_bucket.reinit ~rng:(Rng.split rng) ~policy:Gain_bucket.Lifo
+      ~min_gain:(-max_gain) ~max_gain ~capacity:n a.buckets.(i)
+  done;
+  let { locked; order; from; buckets } = a in
+  let side = src.side and part_area = src.part_area in
+  let areas = H.areas_store h and min_area = H.min_area h in
+  let budget = ref 0 and chosen_gain = ref 0 in
+  (* [Kpartition.move_is_feasible] for a module of the direction being
+     walked: it sits in the source part, so only its area is tested. *)
+  let feas v = areas.(v) <= !budget in
+  let report w r d =
+    if not locked.(w) then Gain_bucket.adjust buckets.((side.(w) * k) + r) w d
+  in
+  (* Fixed modules are locked for the whole pass: never inserted, never
+     moved, never adjusted. *)
+  let fill () =
+    Array.iter Gain_bucket.clear buckets;
+    for v = 0 to n - 1 do
+      let pinned = match fixed with Some f -> f.(v) >= 0 | None -> false in
+      locked.(v) <- pinned;
+      if not pinned then
+        for q = 0 to k - 1 do
+          if q <> side.(v) then
+            Gain_bucket.insert buckets.((side.(v) * k) + q) v (src.gain v q)
+        done
+    done
+  in
+  let select () =
+    let best = ref (-1) and best_g = ref min_int in
+    for p = 0 to k - 1 do
+      for q = 0 to k - 1 do
+        if p <> q then begin
+          budget :=
+            Kpartition.budget bounds ~from_area:part_area.(p)
+              ~to_area:part_area.(q);
+          if !budget >= min_area then begin
+            let b = buckets.((p * k) + q) in
+            let v = Gain_bucket.select_satisfying b feas in
+            if v >= 0 then begin
+              let g = Gain_bucket.gain_of b v in
+              if g > !best_g then begin
+                best := (v * k) + q;
+                best_g := g
+              end
+            end
+          end
+        end
+      done
+    done;
+    chosen_gain := !best_g;
+    !best
+  in
+  let commit c =
+    let v = c / k and p = side.(c / k) in
+    locked.(v) <- true;
+    for r = 0 to k - 1 do
+      if r <> p then Gain_bucket.remove buckets.((p * k) + r) v
+    done;
+    from.(v) <- p;
+    src.move report v (c mod k);
+    !chosen_gain
+  in
+  let ops =
+    {
+      Refine_core.select;
+      commit;
+      undo = (fun c -> src.undo (c / k) from.(c / k));
+      rebuild = (fun ~first_bad:_ ~kept:_ -> ());
+    }
+  in
+  Refine_core.drive ~max_passes (fun ~pass:_ ->
+      fill ();
+      Refine_core.run_pass ~order ops)
+
+(* ---- Multiway's own gains, over a [Kpartition] ---- *)
+
 type state = {
-  cfg : config;
-  h : H.t;
+  objective : objective;
   kp : Kpartition.t;
   kk : int;
-  bounds : Kpartition.bounds;
-  fixed : int array option;
-  locked : bool array; (* moved this pass, or fixed *)
-  buckets : Gain_bucket.t array; (* (p * k) + q, p <> q *)
-  order : int array; (* move stack: candidates (v * k) + q *)
-  from : int array; (* source part of each module moved this pass *)
+  arena : arena; (* the pass's locks and buckets, adjusted in place *)
   (* Raw views for the gain update: the live part / pin-count / span stores
      of [kp] and the hypergraph CSR arrays, so a move's gain deltas are
      array arithmetic with no per-element calls or closures. *)
@@ -84,10 +163,6 @@ type state = {
   moff : int array;
   mnets : int array;
   wts : int array;
-  min_area : int;
-  budget : int ref; (* balance budget of the direction being walked *)
-  feas : int -> bool; (* module fits [budget]; one closure per run *)
-  mutable chosen_gain : int; (* gain of the candidate [select] returned *)
 }
 
 (* Gain contributed by one net of weight [w] spanning [spans] parts to
@@ -102,15 +177,15 @@ let net_gain objective ~w ~spans ~own ~dst =
   | Custom f -> f ~weight:w ~spans_before:spans ~spans_after:spans'
 
 let current_gain st v q =
-  let k = st.kk and thr = st.cfg.net_threshold in
+  let k = st.kk in
   let p = st.side.(v) in
   let g = ref 0 in
   for i = st.moff.(v) to st.moff.(v + 1) - 1 do
     let e = st.mnets.(i) in
-    if st.noff.(e + 1) - st.noff.(e) <= thr then
+    if st.noff.(e + 1) - st.noff.(e) <= net_threshold then
       g :=
         !g
-        + net_gain st.cfg.objective ~w:st.wts.(e) ~spans:st.spans.(e)
+        + net_gain st.objective ~w:st.wts.(e) ~spans:st.spans.(e)
             ~own:st.pins_on.((k * e) + p) ~dst:st.pins_on.((k * e) + q)
   done;
   !g
@@ -122,49 +197,25 @@ let count_before pins_on base r ~p ~q =
   else if r = q then pins_on.(base + q) - 1
   else pins_on.(base + r)
 
-let bucket st p q = st.buckets.((p * st.kk) + q)
-
-let insert_module st v =
-  let p = st.side.(v) in
-  for q = 0 to st.kk - 1 do
-    if q <> p then Gain_bucket.insert (bucket st p q) v (current_gain st v q)
-  done
-
-let remove_module st v =
-  let p = st.side.(v) in
-  for q = 0 to st.kk - 1 do
-    if q <> p then Gain_bucket.remove (bucket st p q) v
-  done
-
-(* Fixed modules are locked for the whole pass: never inserted, never
-   moved, never adjusted. *)
-let init_pass st =
-  let n = H.num_modules st.h in
-  Array.iter Gain_bucket.clear st.buckets;
-  for v = 0 to n - 1 do
-    let fixed = match st.fixed with Some f -> f.(v) >= 0 | None -> false in
-    st.locked.(v) <- fixed;
-    if not fixed then insert_module st v
-  done
-
 (* Move [v] to part [q], then adjust every free neighbour's gains by the
    difference between each net's contribution before and after.  The
    move changed only the counts of parts [p] and [q], by one pin each, so
    the pre-move counts and span follow from the post-move ones and need no
-   snapshot.  Visiting order is part of the answer (LIFO buckets reinsert
-   on every adjust): nets in reverse incidence order, pins in CSR order,
-   targets ascending, and an adjust only when the gain changes. *)
+   snapshot.  The adjusts are the pass's [report], written out on the
+   arena's buckets so the loop calls no closure.  Visiting order is part of
+   the answer (LIFO buckets reinsert on every adjust): nets in reverse
+   incidence order, pins in CSR order, targets ascending, and an adjust
+   only when the gain changes. *)
 let apply_move st v q =
   let p = st.side.(v) in
-  st.locked.(v) <- true;
-  remove_module st v;
   Kpartition.move st.kp v q;
-  let k = st.kk and thr = st.cfg.net_threshold and obj = st.cfg.objective in
-  let side = st.side and pins_on = st.pins_on and locked = st.locked in
+  let k = st.kk and obj = st.objective in
+  let side = st.side and pins_on = st.pins_on in
+  let locked = st.arena.locked and buckets = st.arena.buckets in
   for i = st.moff.(v + 1) - 1 downto st.moff.(v) do
     let e = st.mnets.(i) in
     let off = st.noff.(e) and last = st.noff.(e + 1) - 1 in
-    if last - off < thr then begin
+    if last - off < net_threshold then begin
       let w = st.wts.(e) and base = k * e in
       let new_p = pins_on.(base + p) and new_q = pins_on.(base + q) in
       let new_spans = st.spans.(e) in
@@ -188,7 +239,7 @@ let apply_move st v q =
                   ~dst:pins_on.(base + t)
               in
               if old_c <> new_c then
-                Gain_bucket.adjust st.buckets.((r * k) + t) u (new_c - old_c)
+                Gain_bucket.adjust buckets.((r * k) + t) u (new_c - old_c)
             end
           done
         end
@@ -196,95 +247,34 @@ let apply_move st v q =
     end
   done
 
-(* Best feasible candidate over all k(k-1) direction buckets, as
-   [(v * k) + q], or -1; its gain is left in [chosen_gain].  A direction
-   whose balance budget is below the smallest module area is skipped
-   unwalked unless its bucket draws from its generator while walking
-   (Random).  Ties keep the first direction in (p, q) order. *)
-let select st =
-  let k = st.kk in
-  let best_v = ref (-1) and best_q = ref (-1) and best_g = ref min_int in
-  for p = 0 to k - 1 do
-    for q = 0 to k - 1 do
-      if p <> q then begin
-        let b = bucket st p q in
-        st.budget := Kpartition.move_budget st.kp st.bounds p q;
-        if !(st.budget) >= st.min_area || Gain_bucket.draws_on_select b
-        then begin
-          let v = Gain_bucket.select_satisfying b st.feas in
-          if v >= 0 then begin
-            let g = Gain_bucket.gain_of b v in
-            if g > !best_g then begin
-              best_v := v;
-              best_q := q;
-              best_g := g
-            end
-          end
-        end
-      end
-    done
-  done;
-  st.chosen_gain <- !best_g;
-  if !best_v < 0 then -1 else (!best_v * k) + !best_q
-
-(* One best-prefix pass on [Refine_core]: a candidate encodes module [v]
-   and target part [q] as [(v * k) + q]; the gain [select] found is the
-   one [commit] credits. *)
-let run_pass st =
-  init_pass st;
-  Refine_core.run_pass ~order:st.order
-    {
-      Refine_core.select = (fun () -> select st);
-      commit =
-        (fun c ->
-          let v = c / st.kk in
-          st.from.(v) <- st.side.(v);
-          apply_move st v (c mod st.kk);
-          st.chosen_gain);
-      undo = (fun c -> Kpartition.move st.kp (c / st.kk) st.from.(c / st.kk));
-      rebuild = (fun ~first_bad:_ ~kept:_ -> ());
-    }
-
 let run ?(config = default) ?init ?fixed ?arena rng h ~k =
   if k < 2 then invalid_arg "Multiway.run: k < 2";
   let bounds = Kpartition.bounds ~tolerance:config.tolerance h ~k in
   let kp =
     match init with
-    | Some side -> Kpartition.create h ~k side
+    | Some side ->
+        (* A pinned module starts in its own part, whatever [init] says. *)
+        let pin v p =
+          match fixed with Some f when f.(v) >= 0 -> f.(v) | _ -> p
+        in
+        Kpartition.create h ~k (Array.mapi pin side)
     | None -> Kpartition.random ?fixed rng h ~k
   in
   if not (Kpartition.is_balanced kp bounds) then
     ignore (Kpartition.rebalance ?fixed rng kp bounds);
-  let n = H.num_modules h in
   let wdeg = Stdlib.max 1 (H.max_weighted_degree h) in
   (* Custom objectives may scale each net's contribution by up to k. *)
-  let range =
+  let max_gain =
     match config.objective with
     | Net_cut | Sum_degrees -> wdeg
     | Custom _ -> k * wdeg
   in
-  let a = match arena with Some a -> a | None -> create_arena () in
-  ensure_arena a n k;
-  (* One split per direction bucket in ascending (p * k + q) order, exactly
-     as the former [Array.init] evaluated them. *)
-  for i = 0 to (k * k) - 1 do
-    Gain_bucket.reinit ~rng:(Rng.split rng) ~policy:config.policy
-      ~min_gain:(-range) ~max_gain:range ~capacity:n a.buckets.(i)
-  done;
-  let areas = H.areas_store h in
-  let budget = ref 0 in
   let st =
     {
-      cfg = config;
-      h;
+      objective = config.objective;
       kp;
       kk = k;
-      bounds;
-      fixed;
-      locked = a.locked;
-      buckets = a.buckets;
-      order = a.order;
-      from = a.from;
+      arena = (match arena with Some a -> a | None -> create_arena ());
       side = Kpartition.side_store kp;
       pins_on = Kpartition.pins_on_store kp;
       spans = Kpartition.spans_store kp;
@@ -293,21 +283,19 @@ let run ?(config = default) ?init ?fixed ?arena rng h ~k =
       moff = H.mod_offsets_store h;
       mnets = H.mod_nets_store h;
       wts = H.net_weights_store h;
-      min_area = H.min_area h;
-      budget;
-      (* [Kpartition.move_is_feasible] for a module of the direction being
-         walked: it sits in the source part, so only its area is tested. *)
-      feas = (fun v -> areas.(v) <= !budget);
-      chosen_gain = 0;
     }
   in
-  let passes, moves =
-    Refine_core.drive ~max_passes:config.max_passes (fun ~pass:_ -> run_pass st)
-  in
+  ignore
+    (refine ?fixed ~max_gain st.arena rng h ~k bounds
+       {
+         side = st.side;
+         part_area = Kpartition.areas_store kp;
+         gain = current_gain st;
+         move = (fun _report v q -> apply_move st v q);
+         undo = Kpartition.move kp;
+       });
   {
-    side = Kpartition.side_array st.kp;
-    cut = Kpartition.cut st.kp;
-    sum_degrees = Kpartition.sum_degrees st.kp;
-    passes;
-    moves;
+    side = Kpartition.side_array kp;
+    cut = Kpartition.cut kp;
+    sum_degrees = Kpartition.sum_degrees kp;
   }

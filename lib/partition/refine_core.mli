@@ -1,6 +1,6 @@
 (** Engine-agnostic FM move loop: the best-prefix pass schedule shared by
-    the bipartitioning engine ([Fm]) and the direct k-way n-level engine
-    ([Nlevel]).
+    the bipartitioning engine ([Fm]) and the k-way pass
+    ([Multiway.refine], which the n-level engine's polish also runs).
 
     A pass repeatedly asks the host engine for its best feasible candidate,
     commits it, and tracks the cumulative gain; the longest prefix with the

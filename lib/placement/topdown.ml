@@ -14,7 +14,6 @@ type config = {
   leaf_size : int;
   terminal_model : terminal_model;
   num_pads : int option;
-  ml : Ml_multiway.config;
 }
 
 let default =
@@ -22,7 +21,6 @@ let default =
     leaf_size = 12;
     terminal_model = Propagate_to_quadrant;
     num_pads = None;
-    ml = Ml_multiway.default;
   }
 
 type result = {
@@ -218,7 +216,7 @@ let run ?(config = default) ?deadline rng h =
           (* no internal connectivity: balanced round-robin *)
           Array.init (H.num_modules sub) (fun i -> i mod 4)
         else begin
-          let r = Ml_multiway.run ~config:config.ml ~fixed rng sub ~k:4 in
+          let r = Ml_multiway.run ~fixed rng sub ~k:4 in
           r.Ml_multiway.side
         end
       in

@@ -25,7 +25,6 @@ type config = {
   leaf_size : int;  (** stop recursing below this many modules (default 12) *)
   terminal_model : terminal_model;
   num_pads : int option;  (** as in {!Gordian.config} *)
-  ml : Mlpart_multilevel.Ml_multiway.config;  (** quadrisection engine *)
 }
 
 val default : config

@@ -559,7 +559,7 @@ let test_nlevel_golden_balu () =
         (Printf.sprintf "recorded balu %d-way cut" k)
         recorded r.Nlevel.cut;
       check Alcotest.int "cut recount"
-        (Nlevel.cut_of h ~k r.Nlevel.side)
+        (Mlpart_partition.Multiway.cut_of h ~k r.Nlevel.side)
         r.Nlevel.cut)
     [ (2, 69); (4, 161) ]
 
@@ -606,6 +606,33 @@ let test_nlevel_trail_covers_input () =
     if Nlevel.module_area hy v <> H.area h v then
       Alcotest.failf "module %d area %d after replay, expected %d" v
         (Nlevel.module_area hy v) (H.area h v)
+  done
+
+(* Every part within [Kpartition.bounds]: neither the coarse drain nor the
+   localized refinement promises it, so the engine repairs the balance
+   after its polish when needed. *)
+let nlevel_balanced h ~k ~tolerance side =
+  let module Kp = Mlpart_partition.Kpartition in
+  Kp.is_balanced (Kp.create h ~k side) (Kp.bounds ~tolerance h ~k)
+
+let prop_nlevel_within_bounds =
+  QCheck.Test.make ~name:"nlevel answers within bounds" ~count:60
+    QCheck.(quad small_nat (int_range 60 200) (int_range 2 5) bool)
+    (fun (seed, modules, k, tight) ->
+      let h = random_instance ~modules seed in
+      let tolerance = if tight then 0.02 else 0.1 in
+      let r = Nlevel.run ~tolerance (Rng.create (seed + 1)) h ~k in
+      nlevel_balanced h ~k ~tolerance r.Nlevel.side)
+
+(* As [mlpart kpartition bench:primary2 -k 8 --seed S] runs it. *)
+let test_nlevel_primary2_8way_bounds () =
+  for seed = 1 to 5 do
+    let h =
+      Mlpart_gen.Suite.instantiate ~seed (Mlpart_gen.Suite.find "primary2")
+    in
+    let r = Nlevel.run (Rng.split (Rng.create seed)) h ~k:8 in
+    if not (nlevel_balanced h ~k:8 ~tolerance:0.1 r.Nlevel.side) then
+      Alcotest.failf "seed %d: parts outside the bounds" seed
   done
 
 let test_nlevel_rejects_bad_k () =
@@ -701,5 +728,8 @@ let () =
           Alcotest.test_case "trail covers input" `Quick
             test_nlevel_trail_covers_input;
           Alcotest.test_case "rejects k < 2" `Quick test_nlevel_rejects_bad_k;
+          qtest prop_nlevel_within_bounds;
+          Alcotest.test_case "primary2 8-way within bounds" `Quick
+            test_nlevel_primary2_8way_bounds;
         ] );
     ]

@@ -76,7 +76,16 @@ let test_fixed_modules_unmoved () =
   let r = Mw.run ~fixed (Rng.create 8) h ~k:4 in
   check Alcotest.int "module 0 pinned" 2 r.Mw.side.(0);
   check Alcotest.int "module 5 pinned" 0 r.Mw.side.(5);
-  check Alcotest.int "module 9 pinned" 3 r.Mw.side.(9)
+  check Alcotest.int "module 9 pinned" 3 r.Mw.side.(9);
+  (* An initial assignment that puts every pinned module elsewhere. *)
+  let init = Array.init (H.num_modules h) (fun v -> v mod 4) in
+  init.(0) <- 1;
+  init.(5) <- 3;
+  init.(9) <- 0;
+  let r = Mw.run ~init ~fixed (Rng.create 8) h ~k:4 in
+  check Alcotest.int "module 0 pinned over init" 2 r.Mw.side.(0);
+  check Alcotest.int "module 5 pinned over init" 0 r.Mw.side.(5);
+  check Alcotest.int "module 9 pinned over init" 3 r.Mw.side.(9)
 
 let test_init_refinement_never_worsens () =
   let h = random_instance 9 in
@@ -96,11 +105,30 @@ let test_deterministic () =
   let a = Mw.run (Rng.create 14) h ~k:4 and b = Mw.run (Rng.create 14) h ~k:4 in
   check Alcotest.(array int) "same assignment" a.Mw.side b.Mw.side
 
+(* The pass cap, on the shared pass over a gain cache as the n-level
+   polish runs it: uncapped it runs several passes from the same start. *)
 let test_max_passes () =
+  let module Gc = Mlpart_partition.Gain_cache in
   let h = random_instance 24 in
-  let config = { Mw.default with max_passes = 1 } in
-  let r = Mw.run ~config (Rng.create 25) h ~k:4 in
-  check Alcotest.int "single pass" 1 r.Mw.passes
+  let k = 4 in
+  let start = Kp.side_array (Kp.random (Rng.create 25) h ~k) in
+  let passes ?max_passes () =
+    let members = Array.init (H.num_modules h) Fun.id in
+    let g = Gc.graph_of_hypergraph h in
+    let c = Gc.create g ~k ~members (Array.copy start) in
+    fst
+      (Mw.refine ?max_passes ~max_gain:(H.max_weighted_degree h)
+         (Mw.create_arena ()) (Rng.create 26) h ~k (Kp.bounds h ~k)
+         {
+           Mw.side = Gc.side_array c;
+           part_area = Gc.part_areas c;
+           gain = Gc.gain c;
+           move = (fun report v q -> Gc.move ~on_delta:report c v q);
+           undo = Gc.move c;
+         })
+  in
+  check Alcotest.int "single pass" 1 (passes ~max_passes:1 ());
+  check Alcotest.bool "several uncapped" true (passes () > 1)
 
 let test_custom_objective () =
   (* A custom gain equal to the sum-of-degrees delta must behave exactly
