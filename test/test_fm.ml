@@ -760,6 +760,155 @@ let test_engines_improve_bad_two_cliques_split () =
   check Alcotest.bool "genetic improves" true (ga.Genetic.cut < start);
   check Alcotest.bool "genetic balanced" true (balanced h ga.Genetic.side)
 
+(* ---- Rounds against a reference ----
+
+   [reference_rounds] is the closure-based form of the round pre-pass:
+   recount, gain and commit loops through [iter_pins_of]/[iter_nets_of],
+   a fixed-module closure, and a polymorphic [Array.sort] of the
+   candidates by (gain desc, index asc).  It runs sequentially (the pool
+   only splits the recount and gain sweeps, whose values are pure).
+   [Rounds.run] must leave the same sides and return the same record. *)
+
+module Rounds = Mlpart_partition.Rounds
+
+let reference_rounds ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
+    ~bounds h side =
+  let n = H.num_modules h in
+  let m = H.num_nets h in
+  let is_fixed =
+    match fixed with None -> fun _ -> false | Some f -> fun v -> f.(v) >= 0
+  in
+  let pins_on = Array.make (2 * m) 0 in
+  for e = 0 to m - 1 do
+    let c1 = ref 0 in
+    H.iter_pins_of h e (fun v -> if side.(v) = 1 then incr c1);
+    pins_on.(2 * e) <- H.net_size h e - !c1;
+    pins_on.((2 * e) + 1) <- !c1
+  done;
+  let a0 = ref 0 in
+  for v = 0 to n - 1 do
+    if side.(v) = 0 then a0 := !a0 + H.area h v
+  done;
+  let violation a =
+    if a < bounds.Bp.lo then bounds.Bp.lo - a
+    else if a > bounds.Bp.hi then a - bounds.Bp.hi
+    else 0
+  in
+  let gain = Array.make n 0 in
+  let net_epoch = Array.make m 0 in
+  let epoch = ref 0 in
+  let moved = ref 0 and total_gain = ref 0 and rounds = ref 0 in
+  let continue = ref (n > 0 && m > 0 && max_rounds > 0) in
+  while !continue do
+    incr rounds;
+    for v = 0 to n - 1 do
+      if is_fixed v then gain.(v) <- min_int
+      else begin
+        let s = side.(v) in
+        let g = ref 0 in
+        H.iter_nets_of h v (fun e ->
+            if H.net_size h e <= net_threshold then begin
+              let w = H.net_weight h e in
+              if pins_on.((2 * e) + s) = 1 then g := !g + w;
+              if pins_on.((2 * e) + (1 - s)) = 0 then g := !g - w
+            end);
+        gain.(v) <- !g
+      end
+    done;
+    let cand =
+      Array.of_seq (Seq.filter (fun v -> gain.(v) > 0) (Seq.init n Fun.id))
+    in
+    Array.sort
+      (fun a b ->
+        if gain.(a) <> gain.(b) then compare gain.(b) gain.(a) else compare a b)
+      cand;
+    incr epoch;
+    let ep = !epoch in
+    let committed = ref 0 in
+    Array.iter
+      (fun v ->
+        let clash = ref false in
+        H.iter_nets_of h v (fun e -> if net_epoch.(e) = ep then clash := true);
+        if not !clash then begin
+          let av = H.area h v in
+          let a0' = if side.(v) = 0 then !a0 - av else !a0 + av in
+          if violation a0' = 0 || violation a0' < violation !a0 then begin
+            let s = side.(v) in
+            side.(v) <- 1 - s;
+            a0 := a0';
+            H.iter_nets_of h v (fun e ->
+                net_epoch.(e) <- ep;
+                pins_on.((2 * e) + s) <- pins_on.((2 * e) + s) - 1;
+                pins_on.((2 * e) + (1 - s)) <- pins_on.((2 * e) + (1 - s)) + 1);
+            total_gain := !total_gain + gain.(v);
+            incr committed
+          end
+        end)
+      cand;
+    moved := !moved + !committed;
+    continue := !committed > 0 && !rounds < max_rounds
+  done;
+  { Rounds.moved = !moved; rounds = !rounds; gain = !total_gain }
+
+(* Rent netlists with module areas 1..4 and net weights 1..3 (or unit),
+   and the adversarial Hgen families. *)
+let rounds_instance rng =
+  if Rng.int rng 4 = 0 then
+    Mlpart_check.Hgen.build
+      (Mlpart_check.Gen.root Mlpart_check.Hgen.instance ~size:14 rng)
+  else begin
+    let h = random_instance ~modules:(20 + Rng.int rng 280) (Rng.int rng 100_000) in
+    if Rng.bool rng then h
+    else
+      let areas = Array.init (H.num_modules h) (fun _ -> 1 + Rng.int rng 4) in
+      H.make ~areas
+        ~nets:
+          (Array.init (H.num_nets h) (fun e -> (H.pins_of h e, 1 + Rng.int rng 3)))
+        ()
+  end
+
+let prop_rounds_equal_reference =
+  QCheck.Test.make ~name:"rounds equal reference" ~count:150 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (seed + 9000) in
+      let h = rounds_instance rng in
+      let n = H.num_modules h in
+      let side = Array.init n (fun _ -> Rng.int rng 2) in
+      let a0 = ref 0 in
+      Array.iteri (fun v s -> if s = 0 then a0 := !a0 + H.area h v) side;
+      (* In-bounds starts, and starts below or above the window, so the
+         "strictly closer" repair rule is exercised too. *)
+      let bounds =
+        match Rng.int rng 3 with
+        | 0 -> Bp.bounds ~tolerance:(Rng.float rng 0.3) h
+        | 1 ->
+            let lo = !a0 + 1 + Rng.int rng 6 in
+            { Bp.lo; hi = lo + Rng.int rng 4 }
+        | _ ->
+            let hi = !a0 - 1 - Rng.int rng 6 in
+            { Bp.lo = hi - Rng.int rng 4; hi }
+      in
+      let fixed =
+        if Rng.bool rng then None
+        else
+          Some
+            (Array.init n (fun v -> if Rng.int rng 4 = 0 then side.(v) else -1))
+      in
+      let net_threshold = if Rng.bool rng then None else Some (3 + Rng.int rng 8) in
+      let max_rounds = if Rng.bool rng then None else Some (Rng.int rng 4) in
+      let expected_side = Array.copy side in
+      let expected =
+        reference_rounds ?fixed ?net_threshold ?max_rounds ~bounds h
+          expected_side
+      in
+      let actual =
+        if Rng.bool rng then
+          Mlpart_util.Pool.with_pool ~jobs:2 (fun pool ->
+              Rounds.run ~pool ?fixed ?net_threshold ?max_rounds ~bounds h side)
+        else Rounds.run ?fixed ?net_threshold ?max_rounds ~bounds h side
+      in
+      actual = expected && side = expected_side)
+
 let () =
   Alcotest.run "fm-engines"
     [
@@ -820,6 +969,7 @@ let () =
           Alcotest.test_case "pool jobs identical" `Quick
             test_arena_pool_jobs_identical;
         ] );
+      ("rounds", [ qtest prop_rounds_equal_reference ]);
       ( "objective",
         [
           Alcotest.test_case "report" `Quick test_objective_report;

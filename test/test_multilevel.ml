@@ -173,6 +173,180 @@ let prop_hierarchy_cluster_cap =
       let coarsest = hierarchy.Mlpart_multilevel.Hierarchy.coarsest in
       H.max_area coarsest <= Stdlib.max cap 2)
 
+(* ---- Match against a reference ----
+
+   [reference_match] is the closure-based form of Match: ratings through
+   [iter_nets_of]/[iter_pins_of] with the same float expression and
+   summation order, Seq-built active and candidate sets, a polymorphic
+   [Array.sort] of the proposals, and one (partner, rating) tuple per
+   rated module.  It runs sequentially (the pool only splits the rating
+   sweep, whose values are pure).  [Match.run] must return exactly its
+   answer, for every option and with or without a pool. *)
+
+let reference_match ?(max_net_size = 10) ?(matchable = fun _ -> true)
+    ?(pair_ok = fun _ _ -> true) ?(max_cluster_area = max_int) rng h ~ratio =
+  let n = H.num_modules h in
+  let perm = Rng.permutation rng n in
+  let rank = Array.make n 0 in
+  Array.iteri (fun i v -> rank.(v) <- i) perm;
+  let mate = Array.make n (-1) in
+  let target = ratio *. float_of_int n in
+  let n_match = ref 0 in
+  let conn = Array.make n 0.0 and nbrs = Array.make n 0 in
+  let best_neighbour v =
+    let n_nbrs = ref 0 in
+    let inv_av = 1.0 /. float_of_int (H.area h v) in
+    H.iter_nets_of h v (fun e ->
+        let size = H.net_size h e in
+        if size <= max_net_size then begin
+          let contribution =
+            float_of_int (H.net_weight h e) /. float_of_int (size - 1)
+          in
+          H.iter_pins_of h e (fun w ->
+              if
+                w <> v && mate.(w) < 0 && matchable w && pair_ok v w
+                && H.area h v + H.area h w <= max_cluster_area
+              then begin
+                if conn.(w) = 0.0 then begin
+                  nbrs.(!n_nbrs) <- w;
+                  incr n_nbrs
+                end;
+                conn.(w) <-
+                  conn.(w) +. (contribution *. inv_av /. float_of_int (H.area h w))
+              end)
+        end);
+    let best = ref (-1) in
+    let best_conn = ref 0.0 in
+    for i = 0 to !n_nbrs - 1 do
+      let w = nbrs.(i) in
+      let c = conn.(w) in
+      if c > !best_conn || (c = !best_conn && !best >= 0 && rank.(w) < rank.(!best))
+      then begin
+        best_conn := c;
+        best := w
+      end;
+      conn.(w) <- 0.0
+    done;
+    (!best, !best_conn)
+  in
+  let active = ref (Array.of_seq (Seq.filter matchable (Seq.init n Fun.id))) in
+  let prop = Array.make n (-1) in
+  let rate = Array.make n 0.0 in
+  let continue = ref (float_of_int !n_match < target && Array.length !active > 0) in
+  while !continue do
+    let act = !active in
+    Array.iter
+      (fun v ->
+        let w, c = best_neighbour v in
+        prop.(v) <- w;
+        rate.(v) <- c)
+      act;
+    let cands = Array.of_seq (Seq.filter (fun v -> prop.(v) >= 0) (Array.to_seq act)) in
+    Array.sort
+      (fun a b ->
+        if rate.(a) <> rate.(b) then compare rate.(b) rate.(a)
+        else compare rank.(a) rank.(b))
+      cands;
+    let commits = ref 0 in
+    Array.iter
+      (fun v ->
+        if float_of_int !n_match < target && mate.(v) < 0 then begin
+          let w = prop.(v) in
+          if mate.(w) < 0 then begin
+            mate.(v) <- w;
+            mate.(w) <- v;
+            n_match := !n_match + 2;
+            incr commits
+          end
+        end)
+      cands;
+    active :=
+      Array.of_seq
+        (Seq.filter (fun v -> mate.(v) < 0 && prop.(v) >= 0) (Array.to_seq act));
+    continue :=
+      !commits > 0 && float_of_int !n_match < target && Array.length !active > 0
+  done;
+  let cluster_of = Array.make n (-1) in
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    let v = perm.(j) in
+    if cluster_of.(v) < 0 then begin
+      let c = !k in
+      incr k;
+      cluster_of.(v) <- c;
+      let w = mate.(v) in
+      if w >= 0 then cluster_of.(w) <- c
+    end
+  done;
+  (cluster_of, !k)
+
+(* Rent netlists with module areas 1..4 and net weights 1..3 (or unit),
+   and the adversarial Hgen families. *)
+let reference_instance rng =
+  if Rng.int rng 4 = 0 then
+    Mlpart_check.Hgen.build
+      (Mlpart_check.Gen.root Mlpart_check.Hgen.instance ~size:14 rng)
+  else begin
+    let h = random_instance ~modules:(20 + Rng.int rng 280) (Rng.int rng 100_000) in
+    if Rng.bool rng then h
+    else
+      let areas = Array.init (H.num_modules h) (fun _ -> 1 + Rng.int rng 4) in
+      H.make ~areas
+        ~nets:
+          (Array.init (H.num_nets h) (fun e -> (H.pins_of h e, 1 + Rng.int rng 3)))
+        ()
+  end
+
+let prop_match_equals_reference =
+  (* Every level of a small hierarchy, so coarse netlists with merged
+     areas and weights are covered too. *)
+  QCheck.Test.make ~name:"match equals reference" ~count:60 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (seed + 7000) in
+      let h = ref (reference_instance rng) in
+      let ratio = [| 0.33; 0.5; 1.0 |].(Rng.int rng 3) in
+      let max_net_size = if Rng.bool rng then 3 else 10 in
+      let max_cluster_area =
+        if Rng.bool rng then None else Some (2 + Rng.int rng 10)
+      in
+      let mask_seed = Rng.int rng 1000 in
+      let matchable =
+        if Rng.bool rng then None
+        else Some (fun v -> (v * 7919 + mask_seed) mod 5 <> 0)
+      in
+      let pair_ok =
+        if Rng.bool rng then None
+        else Some (fun v w -> (v + w + mask_seed) mod 3 <> 0)
+      in
+      let pooled = Rng.bool rng in
+      let ok = ref true and level = ref 0 in
+      while !ok && !level < 8 && H.num_modules !h > 2 do
+        let run_seed = Rng.int rng 1_000_000 in
+        let expected =
+          reference_match ~max_net_size ?matchable ?pair_ok ?max_cluster_area
+            (Rng.create run_seed) !h ~ratio
+        in
+        let actual =
+          if pooled then
+            Pool.with_pool ~jobs:2 (fun pool ->
+                Match.run ~max_net_size ?matchable ?pair_ok ?max_cluster_area
+                  ~pool (Rng.create run_seed) !h ~ratio)
+          else
+            Match.run ~max_net_size ?matchable ?pair_ok ?max_cluster_area
+              (Rng.create run_seed) !h ~ratio
+        in
+        if actual <> expected then ok := false
+        else begin
+          let cluster_of, k = actual in
+          if k >= H.num_modules !h then level := max_int
+          else begin
+            h := fst (H.induce !h cluster_of);
+            incr level
+          end
+        end
+      done;
+      !ok)
+
 (* ---- projection ---- *)
 
 let test_project () =
@@ -661,6 +835,7 @@ let () =
           Alcotest.test_case "area cap" `Quick test_match_respects_area_cap;
           Alcotest.test_case "pair_ok" `Quick test_match_pair_ok_respected;
           qtest prop_hierarchy_cluster_cap;
+          qtest prop_match_equals_reference;
         ] );
       ( "projection",
         [
