@@ -41,16 +41,13 @@ let build ~threshold ~ratio ~match_net_size ~merge_duplicates ~max_levels
     if H.num_modules h <= threshold || depth >= max_levels then
       { levels = List.rev acc; coarsest = h; coarsest_fixed = fixed }
     else begin
-      let matchable =
-        match fixed with
-        | Some f -> fun v -> f.(v) < 0
-        | None -> fun _ -> true
-      in
+      (* pinned modules stay unclustered; with none, Match skips the test *)
+      let matchable = Option.map (fun f v -> f.(v) < 0) fixed in
       let n = H.num_modules h in
       let t0 = Trace.start () in
       let cluster_of, k =
         Trace.span ~cat:"coarsen" "coarsen/match" (fun () ->
-            Match.run ~max_net_size:match_net_size ~matchable ?pair_ok
+            Match.run ~max_net_size:match_net_size ?matchable ?pair_ok
               ~max_cluster_area ?pool rng h ~ratio)
       in
       if k >= H.num_modules h then begin

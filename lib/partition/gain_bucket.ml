@@ -157,7 +157,7 @@ let adjust t v delta =
   let g = t.key.(v) + delta in
   if g < t.min_gain || g > t.max_gain then
     invalid_arg
-      (Printf.sprintf "Gain_bucket.insert: gain %d outside [%d, %d]" g t.min_gain
+      (Printf.sprintf "Gain_bucket.adjust: gain %d outside [%d, %d]" g t.min_gain
          t.max_gain);
   let i = slot t t.key.(v) in
   let p = t.prev.(v) and n = t.next.(v) in

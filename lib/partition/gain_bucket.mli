@@ -56,8 +56,10 @@ val gain_of : t -> int -> int
 (** Current gain key of a stored module.  Undefined for absent modules. *)
 
 val insert : t -> int -> int -> unit
-(** [insert t v g] adds module [v] with gain [g].  [v] must not be present;
-    [g] must be within range (checked, raises [Invalid_argument]). *)
+(** [insert t v g] adds module [v] with gain [g].
+    @raise Invalid_argument ["Gain_bucket.insert: gain g outside [lo, hi]"]
+    when [g] is out of range, and
+    ["Gain_bucket.insert: module already present"] when [v] is stored. *)
 
 val remove : t -> int -> unit
 (** Remove a stored module.  No-op if absent. *)
@@ -65,7 +67,10 @@ val remove : t -> int -> unit
 val adjust : t -> int -> int -> unit
 (** [adjust t v delta] shifts a stored module's gain by [delta], reinserting
     it at the position the policy dictates for fresh insertions (as in the
-    original FM implementation). *)
+    original FM implementation).
+    @raise Invalid_argument ["Gain_bucket.adjust: module absent"] when [v]
+    is not stored, and ["Gain_bucket.adjust: gain g outside [lo, hi]"]
+    when the new gain [g] is out of range; either way [t] is unchanged. *)
 
 val select_max : t -> (int * int) option
 (** Identity and gain of the module the policy picks from the highest

@@ -1,5 +1,6 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Pool = Mlpart_util.Pool
+module Heapsort = Mlpart_util.Heapsort
 module Trace = Mlpart_obs.Trace
 module Metrics = Mlpart_obs.Metrics
 
@@ -17,19 +18,24 @@ let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
   let n = H.num_modules h in
   let m = H.num_nets h in
   if Array.length side <> n then invalid_arg "Rounds.run: side length mismatch";
-  let is_fixed =
-    match fixed with
-    | None -> fun _ -> false
-    | Some f -> fun v -> f.(v) >= 0
-  in
+  let noff = H.net_offsets_store h
+  and pins = H.net_pins_store h
+  and wts = H.net_weights_store h
+  and moff = H.mod_offsets_store h
+  and mnets = H.mod_nets_store h
+  and areas = H.areas_store h in
+  let has_fixed = Option.is_some fixed in
+  let fixed = match fixed with Some f -> f | None -> [||] in
   (* Frozen-snapshot state, rebuilt incrementally as rounds commit. *)
   let pins_on = Array.make (2 * m) 0 in
   let recount_range ~slot:_ ~lo ~hi =
     for e = lo to hi - 1 do
+      let off = noff.(e) and stop = noff.(e + 1) in
       let c1 = ref 0 in
-      H.iter_pins_of h e (fun v -> if side.(v) = 1 then incr c1);
-      let sz = H.net_size h e in
-      pins_on.(2 * e) <- sz - !c1;
+      for i = off to stop - 1 do
+        if side.(pins.(i)) = 1 then incr c1
+      done;
+      pins_on.(2 * e) <- stop - off - !c1;
       pins_on.((2 * e) + 1) <- !c1
     done
   in
@@ -38,7 +44,7 @@ let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
   | _ -> recount_range ~slot:0 ~lo:0 ~hi:m);
   let a0 = ref 0 in
   for v = 0 to n - 1 do
-    if side.(v) = 0 then a0 := !a0 + H.area h v
+    if side.(v) = 0 then a0 := !a0 + areas.(v)
   done;
   (* A move is admissible if the new side-0 area is in bounds, or strictly
      closer to the bounds interval than before (lets rounds help repair a
@@ -53,18 +59,18 @@ let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
      modules are scored in parallel without write contention. *)
   let gain_range ~slot:_ ~lo ~hi =
     for v = lo to hi - 1 do
-      if is_fixed v then gain.(v) <- min_int
+      if has_fixed && fixed.(v) >= 0 then gain.(v) <- min_int
       else begin
         let s = side.(v) in
         let g = ref 0 in
-        H.iter_nets_of h v (fun e ->
-            if H.net_size h e <= net_threshold then begin
-              let w = H.net_weight h e in
-              let from_count = pins_on.((2 * e) + s) in
-              let to_count = pins_on.((2 * e) + (1 - s)) in
-              if from_count = 1 then g := !g + w;
-              if to_count = 0 then g := !g - w
-            end);
+        for i = moff.(v) to moff.(v + 1) - 1 do
+          let e = mnets.(i) in
+          if noff.(e + 1) - noff.(e) <= net_threshold then begin
+            let w = wts.(e) in
+            if pins_on.((2 * e) + s) = 1 then g := !g + w;
+            if pins_on.((2 * e) + (1 - s)) = 0 then g := !g - w
+          end
+        done;
         gain.(v) <- !g
       end
     done
@@ -74,7 +80,12 @@ let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
      by exactly the sum of accepted gains. *)
   let net_epoch = Array.make m 0 in
   let epoch = ref 0 in
+  (* Candidates packed as [(-gain) lsl shift lor v]: ascending packed order
+     is (gain desc, index asc), a total order independent of chunk
+     scheduling, so any correct sort gives the same commit order. *)
   let cands = Array.make n 0 in
+  let shift = Heapsort.shift_for n in
+  let mask = (1 lsl shift) - 1 in
   let moved = ref 0 in
   let total_gain = ref 0 in
   let rounds = ref 0 in
@@ -85,42 +96,44 @@ let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
     (match pool with
     | Some p when Pool.size p > 1 -> Pool.parallel_chunks p ~n ~body:gain_range
     | _ -> gain_range ~slot:0 ~lo:0 ~hi:n);
-    (* Candidates in ascending module order, then sorted by (gain desc,
-       index asc): a total order independent of chunk scheduling. *)
     let n_cand = ref 0 in
     for v = 0 to n - 1 do
-      if gain.(v) > 0 then begin
-        cands.(!n_cand) <- v;
+      let g = gain.(v) in
+      if g > 0 then begin
+        if not (Heapsort.fits ~shift g) then
+          invalid_arg "Rounds.run: gain too large to pack above module ids";
+        cands.(!n_cand) <- ((-g) lsl shift) lor v;
         incr n_cand
       end
     done;
-    let cand = Array.sub cands 0 !n_cand in
-    Array.sort
-      (fun a b -> if gain.(a) <> gain.(b) then compare gain.(b) gain.(a) else compare a b)
-      cand;
+    Heapsort.sort ~shift:0 ~len:!n_cand cands;
     incr epoch;
     let ep = !epoch in
     let committed = ref 0 in
-    Array.iter
-      (fun v ->
-        let clash = ref false in
-        H.iter_nets_of h v (fun e -> if net_epoch.(e) = ep then clash := true);
-        if not !clash then begin
-          let av = H.area h v in
-          let a0' = if side.(v) = 0 then !a0 - av else !a0 + av in
-          if violation a0' = 0 || violation a0' < violation !a0 then begin
-            let s = side.(v) in
-            side.(v) <- 1 - s;
-            a0 := a0';
-            H.iter_nets_of h v (fun e ->
-                net_epoch.(e) <- ep;
-                pins_on.((2 * e) + s) <- pins_on.((2 * e) + s) - 1;
-                pins_on.((2 * e) + (1 - s)) <- pins_on.((2 * e) + (1 - s)) + 1);
-            total_gain := !total_gain + gain.(v);
-            incr committed
-          end
-        end)
-      cand;
+    for c = 0 to !n_cand - 1 do
+      let v = cands.(c) land mask in
+      let first = moff.(v) and stop = moff.(v + 1) in
+      let i = ref first in
+      while !i < stop && net_epoch.(mnets.(!i)) <> ep do
+        incr i
+      done;
+      if !i = stop then begin
+        let s = side.(v) in
+        let a0' = if s = 0 then !a0 - areas.(v) else !a0 + areas.(v) in
+        if violation a0' = 0 || violation a0' < violation !a0 then begin
+          side.(v) <- 1 - s;
+          a0 := a0';
+          for i = first to stop - 1 do
+            let e = mnets.(i) in
+            net_epoch.(e) <- ep;
+            pins_on.((2 * e) + s) <- pins_on.((2 * e) + s) - 1;
+            pins_on.((2 * e) + (1 - s)) <- pins_on.((2 * e) + (1 - s)) + 1
+          done;
+          total_gain := !total_gain + gain.(v);
+          incr committed
+        end
+      end
+    done;
     moved := !moved + !committed;
     Metrics.add m_rounds 1;
     Metrics.observe h_round_moves !committed;

@@ -223,6 +223,22 @@ let test_gb_double_insert_rejected () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ())
 
+let test_gb_adjust_errors () =
+  (* Both [adjust] failures name [adjust], and leave the bucket as it was. *)
+  let t = mk Gb.Lifo in
+  Gb.insert t 0 4;
+  let raises msg f =
+    match f () with
+    | () -> Alcotest.failf "expected Invalid_argument %S" msg
+    | exception Invalid_argument got -> check Alcotest.string "message" msg got
+  in
+  raises "Gain_bucket.adjust: gain 7 outside [-5, 5]" (fun () -> Gb.adjust t 0 3);
+  raises "Gain_bucket.adjust: gain -6 outside [-5, 5]" (fun () ->
+      Gb.adjust t 0 (-10));
+  raises "Gain_bucket.adjust: module absent" (fun () -> Gb.adjust t 1 1);
+  check Alcotest.int "gain kept" 4 (Gb.gain_of t 0);
+  check Alcotest.int "size kept" 1 (Gb.size t)
+
 let test_gb_select_satisfying () =
   let t = mk Gb.Lifo in
   Gb.insert t 1 4;
@@ -572,6 +588,7 @@ let () =
             test_gb_random_selects_within_top;
           Alcotest.test_case "adjust" `Quick test_gb_adjust;
           Alcotest.test_case "insert out of range" `Quick test_gb_insert_out_of_range;
+          Alcotest.test_case "adjust errors" `Quick test_gb_adjust_errors;
           Alcotest.test_case "double insert rejected" `Quick
             test_gb_double_insert_rejected;
           Alcotest.test_case "select satisfying" `Quick test_gb_select_satisfying;

@@ -1,4 +1,5 @@
-(* Unit and property tests for Mlpart_util: Rng, Stats, Tab, Pool, Multistart. *)
+(* Unit and property tests for Mlpart_util: Rng, Stats, Tab, Pool, Multistart,
+   Heapsort. *)
 
 module Rng = Mlpart_util.Rng
 module Stats = Mlpart_util.Stats
@@ -465,6 +466,83 @@ let test_pool_sequential_fallback () =
       check Alcotest.(array int) "sequential map" [| 6; 8 |] out);
   check Alcotest.bool "recommended >= 1" true (Pool.recommended_jobs () >= 1)
 
+(* ---- Heapsort ----
+
+   The packed heapsort against [Array.sort] with the comparators it
+   replaces: the CLIP insertion order sorts ids by a gain array, ascending
+   for LIFO, descending for FIFO, and equal gains must land exactly where
+   [Array.sort] puts them.  Gains are drawn from narrow ranges (heavy ties)
+   that include negatives. *)
+
+module Heapsort = Mlpart_util.Heapsort
+
+let clip_order_reference ~fifo gain =
+  let ids = Array.init (Array.length gain) Fun.id in
+  Array.sort
+    (if fifo then fun a b -> Int.compare gain.(b) gain.(a)
+     else fun a b -> Int.compare gain.(a) gain.(b))
+    ids;
+  ids
+
+let clip_order_packed ~fifo gain =
+  let n = Array.length gain in
+  let shift = Heapsort.shift_for n in
+  let ids =
+    Array.init n (fun v ->
+        ((if fifo then -gain.(v) else gain.(v)) lsl shift) lor v)
+  in
+  Heapsort.sort ~shift ~len:n ids;
+  Array.map (fun x -> x land ((1 lsl shift) - 1)) ids
+
+let test_heapsort_clip_order () =
+  let rng = Rng.create 77 in
+  List.iter
+    (fun n ->
+      for trial = 1 to 60 do
+        let spread = [| 1; 2; 3; 8; 100 |].(trial mod 5) in
+        let gain = Array.init n (fun _ -> Rng.int rng ((2 * spread) + 1) - spread) in
+        List.iter
+          (fun fifo ->
+            check
+              Alcotest.(array int)
+              (Printf.sprintf "n=%d trial=%d fifo=%b" n trial fifo)
+              (clip_order_reference ~fifo gain)
+              (clip_order_packed ~fifo gain))
+          [ false; true ]
+      done)
+    [ 0; 1; 2; 3; 4; 5; 7; 13; 100; 101; 257; 1000 ]
+
+let prop_heapsort_whole_int =
+  (* [~shift:0] keys on the whole int, ties included, and sorts only the
+     prefix it is given. *)
+  QCheck.Test.make ~name:"heapsort whole int" ~count:200
+    QCheck.(pair (list (int_range (-20) 20)) small_nat)
+    (fun (l, extra) ->
+      let a = Array.of_list l in
+      let len = Array.length a in
+      let padded = Array.append a (Array.make extra 999) in
+      let expected = Array.copy a in
+      Array.sort Int.compare expected;
+      Heapsort.sort ~shift:0 ~len padded;
+      Array.sub padded 0 len = expected
+      && Array.sub padded len extra = Array.make extra 999)
+
+let test_heapsort_bounds () =
+  check Alcotest.(list int) "shift_for" [ 0; 0; 1; 2; 2; 3; 10; 11 ]
+    (List.map Heapsort.shift_for [ 0; 1; 2; 3; 4; 5; 1024; 1025 ]);
+  let b = max_int asr 10 in
+  check Alcotest.bool "bound fits" true (Heapsort.fits ~shift:10 b);
+  check Alcotest.bool "negated bound fits" true (Heapsort.fits ~shift:10 (-b));
+  check Alcotest.bool "bound + 1 does not" false (Heapsort.fits ~shift:10 (b + 1));
+  check Alcotest.bool "min_int does not" false (Heapsort.fits ~shift:0 min_int);
+  (* a key at the bound survives the round trip *)
+  let x = ((-b) lsl 10) lor 1023 in
+  check Alcotest.int "key" (-b) (x asr 10);
+  check Alcotest.int "id" 1023 (x land 1023);
+  match Heapsort.sort ~shift:0 ~len:3 [| 1; 2 |] with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "util"
     [
@@ -539,5 +617,11 @@ let () =
             test_multistart_pool_identical;
           Alcotest.test_case "expired deadline" `Quick
             test_multistart_expired_deadline;
+        ] );
+      ( "heapsort",
+        [
+          Alcotest.test_case "clip order" `Quick test_heapsort_clip_order;
+          qtest prop_heapsort_whole_int;
+          Alcotest.test_case "bounds" `Quick test_heapsort_bounds;
         ] );
     ]
