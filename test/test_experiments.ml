@@ -119,6 +119,210 @@ let test_measure_jobs4_identical_mlc () =
   check (Alcotest.float 1e-9) "same std" serial.Report.std_cut
     parallel.Report.std_cut
 
+(* ---- 2-way golden answers ----
+
+   The cut and a side checksum of the 2-way registry engines whose code
+   lies outside the FM and multilevel goldens, plus the merge-duplicates
+   ablation variant, GORDIAN at k = 4 and a top-down placement of balu.
+   Inputs are a Rent netlist with module areas 1..4 and net weights 1..3
+   and bench:balu, at seeds 1..3.  Any change here means an engine's
+   trajectory changed; on a mismatch the test prints every actual answer
+   in the table's own syntax. *)
+
+module H = Mlpart_hypergraph.Hypergraph
+module Ml = Mlpart_multilevel.Ml
+
+let weighted_rent () =
+  let rng = Rng.create 41 in
+  let h =
+    Mlpart_gen.Generate.rent ~rng ~modules:200 ~nets:250 ~pins:700 ()
+  in
+  let areas = Array.init (H.num_modules h) (fun _ -> 1 + Rng.int rng 4) in
+  H.make ~name:"rent200w" ~areas
+    ~nets:
+      (Array.init (H.num_nets h) (fun e -> (H.pins_of h e, 1 + Rng.int rng 3)))
+    ()
+
+let balu () = Suite.instantiate ~seed:1 (Suite.find "balu")
+
+let checksum side =
+  Array.fold_left (fun acc p -> ((acc * 31) + p + 1) land 0x3FFFFFFF) 0 side
+
+let merge_dup =
+  Algos.ml "merge-dup"
+    { (Ml.with_ratio Ml.mlc 0.5) with Ml.merge_duplicates = true }
+
+let flat_names =
+  [ "prop"; "cl-prf"; "kl"; "lsmc"; "ga-fm"; "eig"; "eig-fm"; "cl-la3f";
+    "cd-la3f" ]
+
+let ml_names = [ "two-phase"; "vcycles"; "clip" ]
+
+let registry name =
+  match Algos.find name with
+  | Some e -> e
+  | None -> Alcotest.failf "no registry entry %s" name
+
+let twoway_golden_cases () =
+  let run_on ?pool (e : Algos.t) h seed ~k =
+    let side, cut = e.Algos.run ?pool ~tolerance:0.1 (Rng.create seed) h ~k in
+    (cut, checksum side)
+  in
+  let on_netlist h =
+    let label name seed = Printf.sprintf "%s %s seed %d" name (H.name h) seed in
+    let seeds = [ 1; 2; 3 ] in
+    let flat =
+      List.concat_map
+        (fun name ->
+          List.map
+            (fun seed ->
+              (label name seed, fun () -> run_on (registry name) h seed ~k:2))
+            seeds)
+        flat_names
+    in
+    (* multilevel entries must also answer identically through a pool *)
+    let ml =
+      List.concat_map
+        (fun e ->
+          List.map
+            (fun seed ->
+              ( label e.Algos.name seed,
+                fun () ->
+                  let seq = run_on e h seed ~k:2 in
+                  let par =
+                    Mlpart_util.Pool.with_pool ~jobs:2 (fun pool ->
+                        run_on ~pool e h seed ~k:2)
+                  in
+                  if par <> seq then
+                    Alcotest.failf "%s: 2-domain pool changed the answer"
+                      (label e.Algos.name seed);
+                  seq ))
+            seeds)
+        (List.map registry ml_names @ [ merge_dup ])
+    in
+    let gordian =
+      ( Printf.sprintf "gordian %s k=4" (H.name h),
+        fun () -> run_on Algos.gordian h 1 ~k:4 )
+    in
+    flat @ ml @ [ gordian ]
+  in
+  on_netlist (weighted_rent ()) @ on_netlist (balu ())
+
+(* Top-down placement answers: region count and the exact HPWL bits. *)
+let topdown_golden_cases () =
+  let module T = Mlpart_placement.Topdown in
+  let h = balu () in
+  List.map
+    (fun seed ->
+      ( Printf.sprintf "topdown balu seed %d" seed,
+        fun () ->
+          let r = T.run (Rng.create seed) h in
+          (r.T.regions, Int64.to_int (Int64.bits_of_float r.T.hpwl)) ))
+    [ 1; 2; 3 ]
+
+let twoway_golden =
+  [
+    ("prop rent200w seed 1", 55, 323942594);
+    ("prop rent200w seed 2", 58, 827106114);
+    ("prop rent200w seed 3", 61, 942358270);
+    ("cl-prf rent200w seed 1", 58, 228029507);
+    ("cl-prf rent200w seed 2", 56, 885199713);
+    ("cl-prf rent200w seed 3", 54, 1026594848);
+    ("kl rent200w seed 1", 78, 887339262);
+    ("kl rent200w seed 2", 97, 292441954);
+    ("kl rent200w seed 3", 98, 976739167);
+    ("lsmc rent200w seed 1", 54, 263338302);
+    ("lsmc rent200w seed 2", 54, 223067777);
+    ("lsmc rent200w seed 3", 54, 487654272);
+    ("ga-fm rent200w seed 1", 54, 921176416);
+    ("ga-fm rent200w seed 2", 54, 487654272);
+    ("ga-fm rent200w seed 3", 54, 625109822);
+    ("eig rent200w seed 1", 90, 573688957);
+    ("eig rent200w seed 2", 90, 573688957);
+    ("eig rent200w seed 3", 90, 573688957);
+    ("eig-fm rent200w seed 1", 59, 1021701409);
+    ("eig-fm rent200w seed 2", 59, 1021701409);
+    ("eig-fm rent200w seed 3", 59, 1021701409);
+    ("cl-la3f rent200w seed 1", 64, 728040452);
+    ("cl-la3f rent200w seed 2", 54, 12301793);
+    ("cl-la3f rent200w seed 3", 79, 937286452);
+    ("cd-la3f rent200w seed 1", 85, 162977597);
+    ("cd-la3f rent200w seed 2", 54, 263338302);
+    ("cd-la3f rent200w seed 3", 54, 282516546);
+    ("two-phase rent200w seed 1", 54, 921176416);
+    ("two-phase rent200w seed 2", 54, 117649345);
+    ("two-phase rent200w seed 3", 56, 559403840);
+    ("vcycles rent200w seed 1", 54, 861727647);
+    ("vcycles rent200w seed 2", 54, 487654272);
+    ("vcycles rent200w seed 3", 54, 428205503);
+    ("clip rent200w seed 1", 54, 428205503);
+    ("clip rent200w seed 2", 54, 428205503);
+    ("clip rent200w seed 3", 54, 428205503);
+    ("merge-dup rent200w seed 1", 54, 861727647);
+    ("merge-dup rent200w seed 2", 54, 58200576);
+    ("merge-dup rent200w seed 3", 54, 757869025);
+    ("gordian rent200w k=4", 231, 131136242);
+    ("prop balu seed 1", 44, 826043015);
+    ("prop balu seed 2", 45, 45168291);
+    ("prop balu seed 3", 44, 77842973);
+    ("cl-prf balu seed 1", 44, 141282168);
+    ("cl-prf balu seed 2", 45, 894647586);
+    ("cl-prf balu seed 3", 44, 868059817);
+    ("kl balu seed 1", 63, 416511037);
+    ("kl balu seed 2", 157, 582598845);
+    ("kl balu seed 3", 52, 598194613);
+    ("lsmc balu seed 1", 44, 786244994);
+    ("lsmc balu seed 2", 44, 960211363);
+    ("lsmc balu seed 3", 44, 278075395);
+    ("ga-fm balu seed 1", 44, 717332679);
+    ("ga-fm balu seed 2", 44, 960211363);
+    ("ga-fm balu seed 3", 44, 530012899);
+    ("eig balu seed 1", 150, 370300789);
+    ("eig balu seed 2", 150, 370300789);
+    ("eig balu seed 3", 150, 370300789);
+    ("eig-fm balu seed 1", 45, 276041062);
+    ("eig-fm balu seed 2", 45, 276041062);
+    ("eig-fm balu seed 3", 45, 276041062);
+    ("cl-la3f balu seed 1", 44, 330951671);
+    ("cl-la3f balu seed 2", 45, 593199806);
+    ("cl-la3f balu seed 3", 44, 1025900960);
+    ("cd-la3f balu seed 1", 44, 512996126);
+    ("cd-la3f balu seed 2", 44, 65374976);
+    ("cd-la3f balu seed 3", 44, 1010278716);
+    ("two-phase balu seed 1", 44, 642301379);
+    ("two-phase balu seed 2", 44, 369240641);
+    ("two-phase balu seed 3", 44, 827837854);
+    ("vcycles balu seed 1", 44, 373481703);
+    ("vcycles balu seed 2", 44, 1069142245);
+    ("vcycles balu seed 3", 44, 153713503);
+    ("clip balu seed 1", 44, 367518596);
+    ("clip balu seed 2", 44, 49130790);
+    ("clip balu seed 3", 44, 835252995);
+    ("merge-dup balu seed 1", 44, 189045660);
+    ("merge-dup balu seed 2", 44, 667566852);
+    ("merge-dup balu seed 3", 44, 1028556769);
+    ("gordian balu k=4", 265, 918878267);
+    ("topdown balu seed 1", 47, -4580696649702397274);
+    ("topdown balu seed 2", 46, -4580724870500843523);
+    ("topdown balu seed 3", 50, -4580671727438834352)
+  ]
+
+let test_twoway_golden () =
+  let actual =
+    List.map
+      (fun (label, run) ->
+        let cut, sum = run () in
+        (label, cut, sum))
+      (twoway_golden_cases () @ topdown_golden_cases ())
+  in
+  if actual <> twoway_golden then
+    Alcotest.failf "2-way answers changed; actual:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (label, cut, sum) ->
+              Printf.sprintf "    (%S, %d, %d);" label cut sum)
+            actual))
+
 let test_cells () =
   check Alcotest.string "value" "42" (Report.cell (Some 42));
   check Alcotest.string "blank" "-" (Report.cell None);
@@ -187,6 +391,7 @@ let () =
           Alcotest.test_case "names distinct" `Quick test_algo_names_distinct;
           Alcotest.test_case "rb honours tolerance" `Quick test_rb_tolerance;
           Alcotest.test_case "rb pool identical" `Quick test_rb_pool_identical;
+          Alcotest.test_case "2-way golden answers" `Quick test_twoway_golden;
         ] );
       ( "report",
         [
