@@ -47,12 +47,7 @@ let kernels ?json ~jobs () =
   let module Hierarchy = Mlpart_multilevel.Hierarchy in
   let refine_kernel =
     let c = Ml.mlc in
-    let hier =
-      Hierarchy.build ~threshold:c.Ml.threshold ~ratio:c.Ml.ratio
-        ~match_net_size:c.Ml.match_net_size
-        ~merge_duplicates:c.Ml.merge_duplicates ~max_levels:c.Ml.max_levels
-        (Rng.create 11) balu
-    in
+    let hier = Ml.hierarchy ~config:c (Rng.create 11) balu in
     let coarse =
       (Mlpart_partition.Fm.run ~config:c.Ml.engine (Rng.create 12)
          hier.Hierarchy.coarsest)

@@ -72,17 +72,12 @@ let finish_timed_out deadline what =
       exit 5
   | Some _ | None -> ()
 
-(* Input is either a .hgr path or "bench:<circuit>" for a generated Table I
-   stand-in.  Lenient parses print their warnings to stderr as they are
-   found; strict parses fail through the boundary. *)
+(* Input is either a netlist path (.hgr, or .net/.netD with a sibling
+   .are) or "bench:<circuit>" for a generated Table I stand-in.  Lenient
+   parses print their warnings to stderr as they are found; strict parses
+   fail through the boundary. *)
 let load_hypergraph ?(lenient = false) input seed =
   let mode = if lenient then Hgr_io.Lenient else Hgr_io.Strict in
-  let of_result = function
-    | Ok { Hgr_io.hypergraph; warnings } ->
-        List.iter print_diag warnings;
-        hypergraph
-    | Error diags -> raise (Diag.Mlpart_error diags)
-  in
   match String.index_opt input ':' with
   | Some i when String.sub input 0 i = "bench" ->
       let name = String.sub input (i + 1) (String.length input - i - 1) in
@@ -94,19 +89,12 @@ let load_hypergraph ?(lenient = false) input seed =
                (List.map
                   (fun s -> s.Mlpart_gen.Suite.circuit)
                   Mlpart_gen.Suite.all)))
-  | Some _ | None ->
-      if Filename.check_suffix input ".net" || Filename.check_suffix input ".netD"
-      then begin
-        (* pick up a sibling .are file when present *)
-        let are = Filename.remove_extension input ^ ".are" in
-        let are_path = if Sys.file_exists are then Some are else None in
-        match Netd_io.parse_files ?are_path ~mode input with
-        | Ok { Netd_io.hypergraph; warnings } ->
-            List.iter print_diag warnings;
-            hypergraph
-        | Error diags -> raise (Diag.Mlpart_error diags)
-      end
-      else of_result (Hgr_io.parse_file ~mode input)
+  | Some _ | None -> (
+      match Netd_io.parse_path ~mode input with
+      | Ok { Hgr_io.hypergraph; warnings } ->
+          List.iter print_diag warnings;
+          hypergraph
+      | Error diags -> raise (Diag.Mlpart_error diags))
 
 let input_arg =
   let doc = "Input netlist: a .hgr file, an ACM/SIGDA .net/.netD file (a \
@@ -352,7 +340,7 @@ let place_cmd =
     let terminal_model =
       if terminal then T.Propagate_to_quadrant else T.Ignore_external
     in
-    let config = { T.default with T.leaf_size = leaf; terminal_model } in
+    let config = { T.leaf_size = leaf; terminal_model } in
     let r = T.run ~config ?deadline (Rng.create seed) h in
     Printf.printf "%s: top-down placement hpwl %.3f (%d quadrisection calls)\n"
       (H.name h) r.T.hpwl r.T.regions;

@@ -116,7 +116,7 @@ let cd_la3f =
 
 let cl_prf =
   fm_refined "cl-prf" (fun ~tolerance rng h ->
-      let config = { Prop.default with clip = true; tolerance } in
+      let config = { Prop.clip = true; tolerance } in
       (Prop.run ~config rng h).Prop.side)
 
 let prop =
@@ -127,28 +127,31 @@ let prop =
 let lsmc descents =
   flat "lsmc" ~balanced:true (fun ~tolerance rng h ->
       let config =
-        { Lsmc.default with
-          descents; engine = { Lsmc.default.Lsmc.engine with Fm.tolerance } }
+        { Lsmc.descents; engine = { Lsmc.default.Lsmc.engine with Fm.tolerance } }
       in
       let r = Lsmc.run ~config rng h in
       (r.Lsmc.side, r.Lsmc.cut))
 
-(* Spectral bisection is deterministic and splits at the area median; like
-   the CLI it has always offered, the FM polish of [eig-fm] runs at the
-   paper's r = 0.1 whatever [tolerance] asks. *)
-let spectral name config =
-  flat name ~balanced:true (fun ~tolerance:_ _rng h ->
-      let r = Spectral.run ~config h in
+(* Spectral bisection is deterministic and splits at the area median. *)
+let eig =
+  flat "eig" ~balanced:true (fun ~tolerance:_ _rng h ->
+      let r = Spectral.run h in
       (r.Spectral.side, r.Spectral.cut))
 
-let eig = spectral "eig" Spectral.default
-let eig_fm = spectral "eig-fm" Spectral.eig_fm
+(* The two-phase EIG+FM: plain FM from the spectral split, on its own
+   fixed generator so the answer stays deterministic.  Like the CLI it has
+   always offered, the polish runs at the paper's r = 0.1 whatever
+   [tolerance] asks. *)
+let eig_fm =
+  flat "eig-fm" ~balanced:true (fun ~tolerance:_ _rng h ->
+      let r = Fm.run ~init:(Spectral.run h).Spectral.side (Rng.create 0x5bec) h in
+      (r.Fm.side, r.Fm.cut))
 
 let ga_fm =
   flat "ga-fm" ~balanced:true (fun ~tolerance rng h ->
       let module G = Mlpart_partition.Genetic in
       let config =
-        { G.default with engine = { G.default.G.engine with Fm.tolerance } }
+        { G.engine = { G.default.G.engine with Fm.tolerance } }
       in
       let r = G.run ~config rng h in
       (r.G.side, r.G.cut))

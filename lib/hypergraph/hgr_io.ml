@@ -209,9 +209,6 @@ let ok_or_raise = function
   | Ok { hypergraph; warnings = _ } -> hypergraph
   | Error diags -> raise (Diag.Mlpart_error diags)
 
-let read_channel ?(name = "") ic =
-  ok_or_raise (parse ~name ~mode:Strict (fun () -> In_channel.input_line ic))
-
 let of_string ?(name = "") s = ok_or_raise (parse_string ~name ~mode:Strict s)
 let read_file path = ok_or_raise (parse_file ~mode:Strict path)
 

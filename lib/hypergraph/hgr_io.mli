@@ -51,10 +51,6 @@ val parse_file : mode:mode -> string -> (parsed, Mlpart_util.Diag.t list) result
     OS-level read failures surface as an [io-error] diagnostic, not an
     exception. *)
 
-val read_channel : ?name:string -> in_channel -> Hypergraph.t
-(** Strict parse from a channel.  Raises {!Mlpart_util.Diag.Mlpart_error}
-    on malformed input. *)
-
 val read_file : string -> Hypergraph.t
 (** Strict parse from a file; raises {!Mlpart_util.Diag.Mlpart_error}. *)
 

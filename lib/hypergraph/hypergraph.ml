@@ -358,22 +358,35 @@ let repair t =
 (* ---- Induced coarse hypergraphs (Definition 1) ---- *)
 
 (* Reusable scratch for [induce]: the coarsening loop calls it once per
-   level, and without the arena each call would allocate mark/scratch/dedup
-   arrays proportional to the cluster count.  Stamps are generational:
-   [stamp] only grows, so [mark] never needs clearing between nets, levels
-   or even hypergraphs. *)
+   level, and without the arena each call would allocate mark and run
+   arrays proportional to the cluster count.  Each pool slot has its own
+   marks, stamp and run buffer.  Stamps are generational: a slot's stamp
+   only grows, so its marks never need clearing between nets, levels or
+   even hypergraphs. *)
 type arena = {
-  mutable mark : int array; (* per-cluster stamp *)
-  mutable stamp : int;
-  mutable scratch : int array; (* distinct clusters of the current net *)
-  mutable table : int array; (* open-addressing dedup slots: kept index + 1 *)
-  mutable hashes : int array; (* pin-set hash per kept coarse net *)
+  mutable marks : int array array; (* per slot: per-cluster stamp *)
+  mutable stamps : int array; (* per slot: last stamp used *)
+  mutable runs : int array array; (* per slot: distinct clusters of a net *)
+  mutable table : int array; (* open-addressing dedup slots: net index + 1 *)
+  mutable hashes : int array; (* pin-run hash per coarse net; -1 = merged *)
 }
 
 let create_arena () =
-  { mark = [||]; stamp = 0; scratch = [||]; table = [||]; hashes = [||] }
+  { marks = [||]; stamps = [||]; runs = [||]; table = [||]; hashes = [||] }
 
 let ensure_ints a len = if Array.length a >= len then a else Array.make len 0
+
+let ensure_slots ar slots k =
+  let missing = slots - Array.length ar.stamps in
+  if missing > 0 then begin
+    ar.marks <- Array.append ar.marks (Array.make missing [||]);
+    ar.runs <- Array.append ar.runs (Array.make missing [||]);
+    ar.stamps <- Array.append ar.stamps (Array.make missing 0)
+  end;
+  for i = 0 to slots - 1 do
+    ar.marks.(i) <- ensure_ints ar.marks.(i) k;
+    ar.runs.(i) <- ensure_ints ar.runs.(i) k
+  done
 
 let validate_clustering fname t cluster_of =
   let n = num_modules t in
@@ -400,228 +413,194 @@ let validate_clustering fname t cluster_of =
     coarse_areas;
   (k, coarse_areas)
 
-(* Induce the coarse hypergraph of a clustering.  Cluster ids must be
-   contiguous 0..k-1.  Two passes over the fine pins: the first counts
-   surviving nets and their pins (so the coarse CSR arrays are allocated at
-   exact size), the second writes sorted pin runs directly into them.
-   Duplicate merging dedups by hash of the sorted run in first-occurrence
-   order.  No per-net allocation, no intermediate (pins, weight) tuples,
-   no re-validation. *)
-(* Parallel variant of the two-pass CSR induce: per-range counting with
-   per-slot mark arrays, prefix-sum placement, parallel fill.  Coarse nets
-   land at positions computed from the scans — a pure function of the fine
-   net order — so the output arrays are byte-identical to the sequential
-   path for any pool size.  Duplicate merging is inherently first-occurrence
-   sequential, so only the non-merging path parallelizes. *)
-let induce_parallel ~name pool t cluster_of ~k ~coarse_areas =
-  let module Pool = Mlpart_util.Pool in
-  let fine_offsets = t.net_offsets in
-  let fine_pins = t.net_pins in
-  let m = num_nets t in
-  let slots = Pool.size pool in
-  let marks = Array.init slots (fun _ -> Array.make k 0) in
-  let stamps = Array.make slots 0 in
-  let scratches = Array.init slots (fun _ -> Array.make k 0) in
-  (* pass 1: distinct-cluster count per net (0 marks a dropped net) *)
-  let cnt = Array.make m 0 in
-  let keep = Array.make m 0 in
-  Pool.parallel_chunks pool ~n:m ~body:(fun ~slot ~lo ~hi ->
-      let mark = marks.(slot) in
-      for e = lo to hi - 1 do
-        stamps.(slot) <- stamps.(slot) + 1;
-        let s = stamps.(slot) in
-        let c = ref 0 in
-        for i = fine_offsets.(e) to fine_offsets.(e + 1) - 1 do
-          let cl = cluster_of.(fine_pins.(i)) in
-          if mark.(cl) <> s then begin
-            mark.(cl) <- s;
-            incr c
-          end
-        done;
-        if !c >= 2 then begin
-          cnt.(e) <- !c;
-          keep.(e) <- 1
-        end
-      done);
-  (* prefix sums place every surviving net and its pin run *)
-  let kept_at = Array.make (m + 1) 0 in
-  let pin_at = Array.make (m + 1) 0 in
-  let kept = Pool.parallel_scan pool ~n:m ~src:keep ~dst:kept_at in
-  let total = Pool.parallel_scan pool ~n:m ~src:cnt ~dst:pin_at in
-  let coarse_offsets = Array.make (kept + 1) 0 in
-  let coarse_pins = Array.make total 0 in
-  let coarse_weights = Array.make kept 0 in
-  (* pass 2: re-derive each surviving net's sorted cluster run into its
-     scanned slot *)
-  Pool.parallel_chunks pool ~n:m ~body:(fun ~slot ~lo ~hi ->
-      let mark = marks.(slot) in
-      let scratch = scratches.(slot) in
-      for e = lo to hi - 1 do
-        if keep.(e) = 1 then begin
-          stamps.(slot) <- stamps.(slot) + 1;
-          let s = stamps.(slot) in
-          let c = ref 0 in
-          for i = fine_offsets.(e) to fine_offsets.(e + 1) - 1 do
-            let cl = cluster_of.(fine_pins.(i)) in
-            if mark.(cl) <> s then begin
-              mark.(cl) <- s;
-              scratch.(!c) <- cl;
-              incr c
-            end
-          done;
-          let c = !c in
-          sort_ints scratch 0 c;
-          let j = kept_at.(e) in
-          let off = pin_at.(e) in
-          Array.blit scratch 0 coarse_pins off c;
-          coarse_weights.(j) <- t.net_weights.(e);
-          coarse_offsets.(j + 1) <- off + c
-        end
-      done);
-  ( make_csr ~name ~areas:coarse_areas ~net_offsets:coarse_offsets
-      ~net_pins:coarse_pins ~net_weights:coarse_weights (),
-    k )
-
-let rec induce ?(name = "") ?(merge_duplicates = false) ?arena ?pool t
-    cluster_of =
-  let k, coarse_areas = validate_clustering "Hypergraph.induce" t cluster_of in
-  match pool with
-  | Some p
-    when Mlpart_util.Pool.size p > 1 && not merge_duplicates && num_nets t > 0
-    ->
-      induce_parallel ~name p t cluster_of ~k ~coarse_areas
-  | _ -> induce_sequential ~name ~merge_duplicates ?arena t cluster_of ~k
-           ~coarse_areas
-
-and induce_sequential ~name ~merge_duplicates ?arena t cluster_of ~k
-    ~coarse_areas =
-  let ar = match arena with Some a -> a | None -> create_arena () in
-  ar.mark <- ensure_ints ar.mark k;
-  ar.scratch <- ensure_ints ar.scratch k;
-  let mark = ar.mark in
-  let scratch = ar.scratch in
-  let fine_offsets = t.net_offsets in
-  let fine_pins = t.net_pins in
-  let m = num_nets t in
-  (* pass 1: how many coarse nets survive, with how many pins in total *)
-  let kept = ref 0 in
-  let total = ref 0 in
-  for e = 0 to m - 1 do
-    ar.stamp <- ar.stamp + 1;
-    let s = ar.stamp in
-    let cnt = ref 0 in
+(* Scan 1 over fine nets [lo, hi): how many survive, with how many pins.
+   A net's distinct clusters are those whose [mark] is not yet the net's
+   stamp; stamps count up from [stamp].  Returns the last stamp used. *)
+let count_range t cluster_of ~mark ~stamp ~lo ~hi =
+  let fine_offsets = t.net_offsets and fine_pins = t.net_pins in
+  let s = ref stamp and nets = ref 0 and pins = ref 0 in
+  for e = lo to hi - 1 do
+    incr s;
+    let s = !s in
+    let c = ref 0 in
     for i = fine_offsets.(e) to fine_offsets.(e + 1) - 1 do
-      let c = cluster_of.(fine_pins.(i)) in
-      if mark.(c) <> s then begin
-        mark.(c) <- s;
-        incr cnt
+      let cl = cluster_of.(fine_pins.(i)) in
+      if mark.(cl) <> s then begin
+        mark.(cl) <- s;
+        incr c
       end
     done;
-    if !cnt >= 2 then begin
-      incr kept;
-      total := !total + !cnt
+    if !c >= 2 then begin
+      incr nets;
+      pins := !pins + !c
     end
+  done;
+  (!s, !nets, !pins)
+
+(* Scan 2 over fine nets [lo, hi): re-derive each surviving net's distinct
+   clusters into [run], sort them, and write them as coarse net [net] at
+   pin slot [slot] onwards.  Returns the last stamp used. *)
+let fill_range t cluster_of ~mark ~stamp ~run ~lo ~hi ~net ~slot ~offsets
+    ~pins ~weights =
+  let fine_offsets = t.net_offsets and fine_pins = t.net_pins in
+  let s = ref stamp and j = ref net and off = ref slot in
+  for e = lo to hi - 1 do
+    incr s;
+    let s = !s in
+    let c = ref 0 in
+    for i = fine_offsets.(e) to fine_offsets.(e + 1) - 1 do
+      let cl = cluster_of.(fine_pins.(i)) in
+      if mark.(cl) <> s then begin
+        mark.(cl) <- s;
+        run.(!c) <- cl;
+        incr c
+      end
+    done;
+    let c = !c in
+    if c >= 2 then begin
+      sort_ints run 0 c;
+      Array.blit run 0 pins !off c;
+      weights.(!j) <- t.net_weights.(e);
+      off := !off + c;
+      incr j;
+      offsets.(!j) <- !off
+    end
+  done;
+  !s
+
+(* Merge coarse nets with identical pin runs into their first occurrence,
+   summing weights.  Hashes are computed on the pool; probing is in net
+   order, which is what makes the first occurrence win.  Returns the CSR
+   arrays of the survivors. *)
+let merge_duplicate_nets ar ~chunks (offsets, pins, weights) =
+  let kept = Array.length weights in
+  ar.hashes <- ensure_ints ar.hashes kept;
+  let hashes = ar.hashes in
+  chunks ~n:kept ~body:(fun ~slot:_ ~lo ~hi ->
+      for j = lo to hi - 1 do
+        let h = ref (offsets.(j + 1) - offsets.(j)) in
+        for i = offsets.(j) to offsets.(j + 1) - 1 do
+          h := ((!h * 0x9E3779B1) + pins.(i)) land max_int
+        done;
+        hashes.(j) <- !h
+      done);
+  let cap = ref 16 in
+  while !cap < 2 * kept do
+    cap := !cap * 2
+  done;
+  let cap = Stdlib.max !cap (Array.length ar.table) in
+  ar.table <- ensure_ints ar.table cap;
+  Array.fill ar.table 0 cap 0;
+  let table = ar.table and mask = cap - 1 in
+  let same_run a b =
+    let oa = offsets.(a) and ob = offsets.(b) in
+    let len = offsets.(a + 1) - oa in
+    len = offsets.(b + 1) - ob
+    &&
+    let i = ref 0 in
+    while !i < len && pins.(oa + !i) = pins.(ob + !i) do
+      incr i
+    done;
+    !i = len
+  in
+  (* a merged net's hash becomes -1; surviving hashes are non-negative *)
+  let nets = ref kept and total = ref (Array.length pins) in
+  for j = 0 to kept - 1 do
+    let h = hashes.(j) in
+    let idx = ref (h land mask) in
+    let probing = ref true in
+    while !probing do
+      let first = table.(!idx) - 1 in
+      if first < 0 then begin
+        table.(!idx) <- j + 1;
+        probing := false
+      end
+      else if hashes.(first) = h && same_run first j then begin
+        weights.(first) <- weights.(first) + weights.(j);
+        hashes.(j) <- -1;
+        decr nets;
+        total := !total - (offsets.(j + 1) - offsets.(j));
+        probing := false
+      end
+      else idx := (!idx + 1) land mask
+    done
+  done;
+  if !nets = kept then (offsets, pins, weights)
+  else begin
+    let offsets' = Array.make (!nets + 1) 0 in
+    let pins' = Array.make !total 0 and weights' = Array.make !nets 0 in
+    let j' = ref 0 in
+    for j = 0 to kept - 1 do
+      if hashes.(j) >= 0 then begin
+        let len = offsets.(j + 1) - offsets.(j) in
+        Array.blit pins offsets.(j) pins' offsets'.(!j') len;
+        weights'.(!j') <- weights.(j);
+        offsets'.(!j' + 1) <- offsets'.(!j') + len;
+        incr j'
+      end
+    done;
+    (offsets', pins', weights')
+  end
+
+(* Induce the coarse hypergraph of a clustering.  Cluster ids must be
+   contiguous 0..k-1.  Two scans over the fine nets: the first counts each
+   chunk's surviving nets and their pins, a prefix sum over the chunks
+   places every chunk's first coarse net and pin, and the second scan
+   writes each sorted pin run straight into its slot.  Chunks are the
+   pool's jobs-independent ranges when a pool of several domains is given,
+   and one range otherwise; the output is the same array contents either
+   way.  Duplicate merging is a post-pass over the coarse CSR. *)
+let induce ?(name = "") ?(merge_duplicates = false) ?arena ?pool t cluster_of =
+  let module Pool = Mlpart_util.Pool in
+  let k, coarse_areas = validate_clustering "Hypergraph.induce" t cluster_of in
+  let ar = match arena with Some a -> a | None -> create_arena () in
+  let pool = match pool with Some p when Pool.size p > 1 -> Some p | _ -> None in
+  let chunks ~n ~body =
+    match pool with
+    | Some p -> Pool.parallel_chunks p ~n ~body
+    | None -> if n > 0 then body ~slot:0 ~lo:0 ~hi:n
+  in
+  let m = num_nets t in
+  let bounds =
+    match pool with
+    | Some _ -> Pool.chunk_bounds ~n:m
+    | None -> if m = 0 then [||] else [| (0, m) |]
+  in
+  let n_chunks = Array.length bounds in
+  let chunk_len = if n_chunks = 0 then 1 else snd bounds.(0) in
+  ensure_slots ar (match pool with Some p -> Pool.size p | None -> 1) k;
+  (* scan 1: surviving nets and pins per chunk *)
+  let chunk_nets = Array.make n_chunks 0 and chunk_pins = Array.make n_chunks 0 in
+  chunks ~n:m ~body:(fun ~slot ~lo ~hi ->
+      let stamp, nets, pins =
+        count_range t cluster_of ~mark:ar.marks.(slot) ~stamp:ar.stamps.(slot)
+          ~lo ~hi
+      in
+      ar.stamps.(slot) <- stamp;
+      chunk_nets.(lo / chunk_len) <- nets;
+      chunk_pins.(lo / chunk_len) <- pins);
+  (* exclusive prefix sums: each chunk's first coarse net and pin slot *)
+  let kept = ref 0 and total = ref 0 in
+  for c = 0 to n_chunks - 1 do
+    let nets = chunk_nets.(c) and pins = chunk_pins.(c) in
+    chunk_nets.(c) <- !kept;
+    chunk_pins.(c) <- !total;
+    kept := !kept + nets;
+    total := !total + pins
   done;
   let kept = !kept in
-  let coarse_offsets = Array.make (kept + 1) 0 in
-  let coarse_pins = Array.make !total 0 in
-  let coarse_weights = Array.make kept 0 in
-  let mask =
-    if not merge_duplicates then 0
-    else begin
-      let cap = ref 16 in
-      while !cap < 2 * kept do
-        cap := !cap * 2
-      done;
-      let cap = if Array.length ar.table > !cap then Array.length ar.table else !cap in
-      ar.table <- ensure_ints ar.table cap;
-      Array.fill ar.table 0 cap 0;
-      ar.hashes <- ensure_ints ar.hashes kept;
-      cap - 1
-    end
-  in
-  let table = ar.table in
-  let hashes = ar.hashes in
-  (* pass 2: fill the coarse CSR in net order *)
-  let j = ref 0 in
-  let cursor = ref 0 in
-  for e = 0 to m - 1 do
-    ar.stamp <- ar.stamp + 1;
-    let s = ar.stamp in
-    let cnt = ref 0 in
-    for i = fine_offsets.(e) to fine_offsets.(e + 1) - 1 do
-      let c = cluster_of.(fine_pins.(i)) in
-      if mark.(c) <> s then begin
-        mark.(c) <- s;
-        scratch.(!cnt) <- c;
-        incr cnt
-      end
-    done;
-    let cnt = !cnt in
-    if cnt >= 2 then begin
-      sort_ints scratch 0 cnt;
-      let w = t.net_weights.(e) in
-      let dup =
-        if not merge_duplicates then -1
-        else begin
-          let h = ref cnt in
-          for i = 0 to cnt - 1 do
-            h := ((!h * 0x9E3779B1) + scratch.(i)) land max_int
-          done;
-          let h = !h in
-          let idx = ref (h land mask) in
-          let found = ref (-1) in
-          let continue = ref true in
-          while !continue do
-            let entry = table.(!idx) in
-            if entry = 0 then begin
-              (* claim the empty slot for this net if it ends up kept *)
-              table.(!idx) <- !j + 1;
-              hashes.(!j) <- h;
-              continue := false
-            end
-            else begin
-              let cand = entry - 1 in
-              let off = coarse_offsets.(cand) in
-              if
-                hashes.(cand) = h
-                && coarse_offsets.(cand + 1) - off = cnt
-                && begin
-                     let equal = ref true in
-                     let i = ref 0 in
-                     while !equal && !i < cnt do
-                       if coarse_pins.(off + !i) <> scratch.(!i) then
-                         equal := false
-                       else incr i
-                     done;
-                     !equal
-                   end
-              then begin
-                found := cand;
-                continue := false
-              end
-              else idx := (!idx + 1) land mask
-            end
-          done;
-          !found
-        end
-      in
-      if dup >= 0 then coarse_weights.(dup) <- coarse_weights.(dup) + w
-      else begin
-        Array.blit scratch 0 coarse_pins !cursor cnt;
-        coarse_weights.(!j) <- w;
-        incr j;
-        cursor := !cursor + cnt;
-        coarse_offsets.(!j) <- !cursor
-      end
-    end
-  done;
+  let offsets = Array.make (kept + 1) 0 in
+  let pins = Array.make !total 0 in
+  let weights = Array.make kept 0 in
+  (* scan 2: each chunk writes its sorted runs from its first slot on *)
+  chunks ~n:m ~body:(fun ~slot ~lo ~hi ->
+      ar.stamps.(slot) <-
+        fill_range t cluster_of ~mark:ar.marks.(slot) ~stamp:ar.stamps.(slot)
+          ~run:ar.runs.(slot) ~lo ~hi ~net:chunk_nets.(lo / chunk_len)
+          ~slot:chunk_pins.(lo / chunk_len) ~offsets ~pins ~weights);
   let net_offsets, net_pins, net_weights =
-    if !j = kept then (coarse_offsets, coarse_pins, coarse_weights)
-    else
-      ( Array.sub coarse_offsets 0 (!j + 1),
-        Array.sub coarse_pins 0 !cursor,
-        Array.sub coarse_weights 0 !j )
+    if merge_duplicates then merge_duplicate_nets ar ~chunks (offsets, pins, weights)
+    else (offsets, pins, weights)
   in
   (make_csr ~name ~areas:coarse_areas ~net_offsets ~net_pins ~net_weights (), k)
 

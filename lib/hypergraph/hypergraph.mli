@@ -166,12 +166,12 @@ val repair : t -> t * repair_report
     zeros.  Net order (among survivors) and module ids are preserved. *)
 
 type arena
-(** Reusable scratch for {!induce}: mark/stamp arrays and the duplicate-net
-    hash table.  One arena threaded through a coarsening loop makes every
-    level's induce allocation-free apart from the coarse CSR arrays
-    themselves.  An arena may be reused freely across hypergraphs of any
-    size (it grows on demand and never needs resetting), but is not safe to
-    share between domains. *)
+(** Reusable scratch for {!induce}: per-domain mark, stamp and pin-run
+    buffers and the duplicate-net hash table.  One arena threaded through a
+    coarsening loop makes every level's induce allocation-free apart from
+    the coarse CSR arrays themselves.  An arena may be reused freely across
+    hypergraphs of any size and pools of any size (it grows on demand and
+    never needs resetting), but one induce call at a time. *)
 
 val create_arena : unit -> arena
 
@@ -195,15 +195,14 @@ val induce :
 
     The coarse net order is the fine net order (restricted to surviving
     nets) and each coarse net's pins are sorted ascending.  The coarse CSR
-    is emitted directly — counting pass, then a fill pass — without an
-    intermediate (pins, weight) list; pass [arena] to reuse scratch across
+    is emitted directly: a counting scan, a prefix sum that places every
+    net, then a scan that writes each sorted pin run into its slot, and the
+    duplicate merge as a post-pass.  Pass [arena] to reuse scratch across
     calls (see {!create_arena}).
 
-    [pool] parallelizes both passes (per-range counting, prefix-sum
-    placement, parallel fill) on the non-merging path; the output is
-    byte-identical to the sequential path for any pool size.  With
-    [merge_duplicates] the pool is ignored (first-occurrence merging is
-    order-sequential).
+    With a [pool] of more than one domain both scans and the merge's
+    hashing run on {!Mlpart_util.Pool.parallel_chunks}; otherwise they run
+    as one range.  The output is identical for every pool size.
 
     Returns the coarse hypergraph and [k], the number of clusters. *)
 

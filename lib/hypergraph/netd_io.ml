@@ -1,7 +1,7 @@
 module Diag = Mlpart_util.Diag
 
 type mode = Hgr_io.mode = Strict | Lenient
-type parsed = { hypergraph : Hypergraph.t; warnings : Diag.t list }
+type parsed = Hgr_io.parsed = { hypergraph : Hypergraph.t; warnings : Diag.t list }
 
 exception Fatal of Diag.t
 
@@ -244,6 +244,13 @@ let parse_files ?are_path ~mode net_path =
   | result -> result
   | exception Sys_error msg ->
       Error [ Diag.of_sys_error ~source:net_path msg ]
+
+let parse_path ~mode path =
+  if Filename.check_suffix path ".net" || Filename.check_suffix path ".netD"
+  then
+    let are = Filename.remove_extension path ^ ".are" in
+    parse_files ?are_path:(if Sys.file_exists are then Some are else None) ~mode path
+  else Hgr_io.parse_file ~mode path
 
 let ok_or_raise = function
   | Ok { hypergraph; warnings = _ } -> hypergraph

@@ -30,7 +30,7 @@
 
 type mode = Hgr_io.mode = Strict | Lenient
 
-type parsed = {
+type parsed = Hgr_io.parsed = {
   hypergraph : Hypergraph.t;
   warnings : Mlpart_util.Diag.t list;
 }
@@ -45,6 +45,13 @@ val parse_files :
   (parsed, Mlpart_util.Diag.t list) result
 (** Read from disk; the hypergraph is named after the net file.  OS-level
     read failures surface as an [io-error] diagnostic. *)
+
+val parse_path :
+  mode:mode -> string -> (parsed, Mlpart_util.Diag.t list) result
+(** Read a netlist file, choosing the reader by suffix: [.net] and [.netD]
+    files through {!parse_files}, with the sibling [.are] (same name,
+    [.are] suffix) when it exists; anything else as [.hgr]
+    ({!Hgr_io.parse_file}).  The one file loader of the CLI and serve. *)
 
 val read_net_string : ?name:string -> ?are:string -> string -> Hypergraph.t
 (** Strict parse; raises {!Mlpart_util.Diag.Mlpart_error} on malformed

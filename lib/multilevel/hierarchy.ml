@@ -26,8 +26,14 @@ let project_fixed cluster_of k fixed =
   Array.iteri (fun v p -> if p >= 0 then coarse.(cluster_of.(v)) <- p) fixed;
   coarse
 
-let build ~threshold ~ratio ~match_net_size ~merge_duplicates ~max_levels
-    ?(cluster_area_factor = 4.0) ?fixed ?pair_ok ?pool rng h =
+(* Cluster areas are capped at 4 times the average module area of a
+   threshold-sized netlist: without the cap, iterated matching lets one
+   cluster snowball to most of the total area, leaving the coarsest netlist
+   no balance freedom. *)
+let cluster_area_factor = 4.0
+
+let build ~threshold ~ratio ~merge_duplicates ~max_levels ?fixed ?pair_ok
+    ?pool rng h =
   let max_cluster_area =
     Stdlib.max 2
       (int_of_float
@@ -47,8 +53,7 @@ let build ~threshold ~ratio ~match_net_size ~merge_duplicates ~max_levels
       let t0 = Trace.start () in
       let cluster_of, k =
         Trace.span ~cat:"coarsen" "coarsen/match" (fun () ->
-            Match.run ~max_net_size:match_net_size ?matchable ?pair_ok
-              ~max_cluster_area ?pool rng h ~ratio)
+            Match.run ?matchable ?pair_ok ~max_cluster_area ?pool rng h ~ratio)
       in
       if k >= H.num_modules h then begin
         (* matching found no reduction: the hierarchy stops here *)

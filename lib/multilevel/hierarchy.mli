@@ -22,10 +22,8 @@ type t = {
 val build :
   threshold:int ->
   ratio:float ->
-  match_net_size:int ->
   merge_duplicates:bool ->
   max_levels:int ->
-  ?cluster_area_factor:float ->
   ?fixed:int array ->
   ?pair_ok:(int -> int -> bool) ->
   ?pool:Mlpart_util.Pool.t ->
@@ -36,13 +34,13 @@ val build :
     V-cycles to keep clusters side-pure).  Coarsening stops early if a
     Match pass achieves no contraction.  [pool] parallelizes each level's
     match rating and induce; the hierarchy is bit-identical with and
-    without it.
+    without it.  One induce arena serves every level.
 
-    Cluster areas are capped at [cluster_area_factor] (default 4.0) times
-    the average module area of a threshold-sized netlist
-    ([factor * A(V) / threshold]); without the cap, iterated matching lets
-    one cluster snowball to most of the total area, leaving the coarsest
-    netlist no balance freedom. *)
+    Match ignores nets above its own default size (10 pins).  Cluster
+    areas are capped at 4 times the average module area of a
+    threshold-sized netlist ([4 * A(V) / threshold]); without the cap,
+    iterated matching lets one cluster snowball to most of the total area,
+    leaving the coarsest netlist no balance freedom. *)
 
 val project_fixed : int array -> int -> int array -> int array
 (** [project_fixed cluster_of k fixed] lifts pre-assignments one level up:

@@ -17,12 +17,10 @@ let m_vcycles = Metrics.counter "ml.vcycles"
 type config = {
   threshold : int;
   ratio : float;
-  match_net_size : int;
   merge_duplicates : bool;
   engine : Fm.config;
   max_levels : int;
   coarsest_starts : int;
-  rounds : int;
   rounds_min_modules : int;
 }
 
@@ -30,14 +28,16 @@ let mlf =
   {
     threshold = 35;
     ratio = 1.0;
-    match_net_size = 10;
     merge_duplicates = false;
     engine = Fm.default;
     max_levels = 64;
     coarsest_starts = 1;
-    rounds = 2;
     rounds_min_modules = 128;
   }
+
+(* Rounds pre-pass rounds per refinement level: two sweeps take the cheap
+   positive-gain moves, and the exact FM polish does the rest. *)
+let rounds = 2
 
 let mlc = { mlf with engine = Fm.clip }
 let with_ratio config ratio = { config with ratio }
@@ -46,16 +46,8 @@ type result = { side : int array; cut : int; levels : int; coarsest_modules : in
 
 let build_hierarchy config ?fixed ?pair_ok ?pool rng h =
   Hierarchy.build ~threshold:config.threshold ~ratio:config.ratio
-    ~match_net_size:config.match_net_size
     ~merge_duplicates:config.merge_duplicates ~max_levels:config.max_levels
     ?fixed ?pair_ok ?pool rng h
-
-let coarsen ?(config = mlf) rng h =
-  let hierarchy = build_hierarchy config rng h in
-  ( List.map
-      (fun { Hierarchy.netlist; cluster_of; fixed = _ } -> (netlist, cluster_of))
-      hierarchy.Hierarchy.levels,
-    hierarchy.Hierarchy.coarsest )
 
 let project cluster_of coarse_side =
   Array.map (fun c -> coarse_side.(c)) cluster_of
@@ -93,15 +85,14 @@ let refine_up config ?pool ?arena rng hierarchy initial_side =
          runs whether or not a pool is present — the committed move
          sequence is a pure function of the input — so the result is
          bit-identical for every [--jobs]. *)
-      if config.rounds > 0 && H.num_modules netlist >= config.rounds_min_modules
-      then begin
+      if H.num_modules netlist >= config.rounds_min_modules then begin
         let bounds =
           (if config.engine.Fm.wide_balance then Bp.wide_bounds else Bp.bounds)
             ~tolerance:config.engine.Fm.tolerance netlist
         in
         ignore
           (Rounds.run ?pool ?fixed ~net_threshold:config.engine.Fm.net_threshold
-             ~max_rounds:config.rounds ~bounds netlist projected)
+             ~max_rounds:rounds ~bounds netlist projected)
       end;
       let refined =
         Fm.run ~config:config.engine ~init:projected ?fixed ?arena rng netlist

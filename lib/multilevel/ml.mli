@@ -9,7 +9,6 @@
 type config = {
   threshold : int;  (** T: stop coarsening at this many modules (paper: 35) *)
   ratio : float;  (** R: matching ratio controlling coarsening speed *)
-  match_net_size : int;  (** nets above this size ignored by Match (10) *)
   merge_duplicates : bool;
       (** merge identical coarse nets into weighted ones (extension;
           Definition 1 keeps duplicates) *)
@@ -19,17 +18,16 @@ type config = {
       (** independent partitioning attempts of the coarsest netlist, keeping
           the best — the paper's "spend more CPU at the top levels" future
           work; 1 reproduces the published algorithm *)
-  rounds : int;
-      (** max {!Mlpart_partition.Rounds} pre-pass rounds per refinement
-          level (0 disables); the pre-pass runs with or without a pool, so
-          results stay jobs-invariant *)
   rounds_min_modules : int;
-      (** pre-pass only at levels with at least this many modules — small
-          levels are cheaper to hand straight to the sequential engine *)
+      (** the {!Mlpart_partition.Rounds} pre-pass (2 rounds) runs only at
+          levels with at least this many modules — small levels are
+          cheaper to hand straight to the sequential engine; the pre-pass
+          runs with or without a pool, so results stay jobs-invariant *)
 }
 
 val mlf : config
-(** R = 1.0, T = 35, FM engine — the paper's MLf at its default setting. *)
+(** R = 1.0, T = 35, FM engine — the paper's MLf at its default setting.
+    Match ignores nets of more than 10 pins. *)
 
 val mlc : config
 (** R = 1.0, T = 35, CLIP engine — the paper's MLc. *)
@@ -123,17 +121,6 @@ val run_hierarchy :
     read, so it can be shared across calls with different generators. *)
 
 (** Access to the phases, for tests and custom flows. *)
-
-val coarsen :
-  ?config:config ->
-  Mlpart_util.Rng.t ->
-  Mlpart_hypergraph.Hypergraph.t ->
-  (Mlpart_hypergraph.Hypergraph.t * int array) list
-  * Mlpart_hypergraph.Hypergraph.t
-(** The coarsening hierarchy as [(netlist, cluster_of)] pairs, finest first
-    ([cluster_of] maps that netlist's modules to the next-coarser netlist's
-    modules), together with the coarsest netlist.  The pair list is empty
-    when the input is already below the threshold. *)
 
 val project : int array -> int array -> int array
 (** [project cluster_of coarse_side] lifts a coarse assignment to the finer

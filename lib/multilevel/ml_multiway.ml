@@ -7,11 +7,9 @@ type config = { ratio : float; engine : Multiway.config }
 let default = { ratio = 1.0; engine = Multiway.default }
 
 (* Coarsening constants: the paper's T = 100 for quadrisection, and, as in
-   [Ml.mlf], matching over nets of at most 10 pins, duplicate nets kept
-   (Definition 1 taken literally) and a depth bound only a coarsening
-   stall could reach. *)
+   [Ml.mlf], duplicate nets kept (Definition 1 taken literally) and a
+   depth bound only a coarsening stall could reach. *)
 let threshold = 100
-let match_net_size = 10
 let merge_duplicates = false
 let max_levels = 64
 
@@ -19,8 +17,8 @@ type result = { side : int array; cut : int; levels : int; coarsest_modules : in
 
 let run ?(config = default) ?fixed rng h ~k =
   let hierarchy =
-    Hierarchy.build ~threshold ~ratio:config.ratio ~match_net_size
-      ~merge_duplicates ~max_levels ?fixed rng h
+    Hierarchy.build ~threshold ~ratio:config.ratio ~merge_duplicates
+      ~max_levels ?fixed rng h
   in
   (* One engine arena shared by the initial partition and every
      refinement level, as in Ml.refine_up. *)

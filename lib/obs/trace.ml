@@ -51,7 +51,7 @@ let ring () =
   r
 
 let enabled () = Atomic.get on
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let now_ns = Mlpart_util.Clock.now_ns
 let start () = if Atomic.get on then now_ns () else 0
 
 let record ev =

@@ -3,8 +3,8 @@
     Spans and instant events accumulate in per-domain ring buffers —
     {!Mlpart_util.Pool} workers record without taking any lock — and
     export as Chrome trace-event JSON loadable in [chrome://tracing] or
-    Perfetto.  Timestamps come from the monotonic clock ([CLOCK_MONOTONIC]
-    via the bechamel stub), rebased to the {!enable} call.
+    Perfetto.  Timestamps come from {!Mlpart_util.Clock} (the monotonic
+    clock), rebased to the {!enable} call.
 
     Disabled (the default), every entry point is a null sink: one atomic
     flag read, no clock call, no allocation.  The instrumented hot paths

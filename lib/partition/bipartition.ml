@@ -99,7 +99,6 @@ let cut t = t.cut
 let pins_on t e s = t.pins_on.((2 * e) + s)
 let pins_on_store t = t.pins_on
 let areas_store t = t.areas
-let is_cut t e = t.pins_on.(2 * e) > 0 && t.pins_on.((2 * e) + 1) > 0
 
 let is_balanced t b = t.areas.(0) >= b.lo && t.areas.(0) <= b.hi
 

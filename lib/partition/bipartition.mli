@@ -51,10 +51,6 @@ val cut : t -> int
 val pins_on : t -> int -> int -> int
 (** [pins_on t e s] is the number of pins of net [e] on side [s]. *)
 
-val is_cut : t -> int -> bool
-(** Does net [e] currently have pins on both sides?  Engines use this to
-    maintain the boundary frontier (the modules incident to cut nets). *)
-
 (** {1 Hot-loop views}
 
     Direct read-only views of the internal arrays, for engine inner loops

@@ -46,7 +46,7 @@ let default =
     policy = Gain_bucket.Lifo;
     clip = false;
     tie_break = Plain;
-    net_threshold = 200;
+    net_threshold = Refine_core.net_threshold;
     tolerance = 0.1;
     wide_balance = false;
     max_passes = max_int;

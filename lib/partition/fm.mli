@@ -50,8 +50,9 @@ type config = {
 }
 
 val default : config
-(** LIFO, no CLIP, [Plain], threshold 200, tolerance 0.1, unlimited passes,
-    no early exit, no backtracking — plain FM as in the paper's baselines. *)
+(** LIFO, no CLIP, [Plain], threshold {!Refine_core.net_threshold} (200),
+    tolerance 0.1, unlimited passes, no early exit, no backtracking — plain
+    FM as in the paper's baselines. *)
 
 val clip : config
 (** [default] with [clip = true] — the paper's CLIP engine. *)

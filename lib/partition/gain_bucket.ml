@@ -2,12 +2,6 @@ module Rng = Mlpart_util.Rng
 
 type policy = Lifo | Fifo | Random
 
-let policy_of_string = function
-  | "lifo" -> Some Lifo
-  | "fifo" -> Some Fifo
-  | "random" | "rnd" -> Some Random
-  | _ -> None
-
 let policy_to_string = function Lifo -> "lifo" | Fifo -> "fifo" | Random -> "random"
 
 (* Intrusive doubly-linked lists over a module-id-indexed arena, with

@@ -19,7 +19,6 @@
 
 type policy = Lifo | Fifo | Random
 
-val policy_of_string : string -> policy option
 val policy_to_string : policy -> string
 
 type t

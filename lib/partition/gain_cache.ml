@@ -26,10 +26,7 @@ let graph_of_hypergraph h =
     mod_deg = Array.init n (fun v -> moff.(v + 1) - moff.(v));
   }
 
-(* Nets with more pins than this are invisible to gains but still counted
-   in the cut, as in [Fm.default] and [Multiway]: one move almost never
-   uncuts such a net, and its pins would dominate every gain update. *)
-let net_threshold = 200
+let net_threshold = Refine_core.net_threshold
 
 type t = {
   g : graph;

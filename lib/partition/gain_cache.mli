@@ -9,8 +9,9 @@
       [v]'s part is [v] and whose remaining pins all sit in [q] (moving
       [v] to [q] uncuts them),
 
-    with [gain v q = b(v, q) - p(v)].  Nets of more than 200 pins are
-    invisible to gains but still tracked for the incremental cut.
+    with [gain v q = b(v, q) - p(v)].  Nets of more than
+    {!Refine_core.net_threshold} (200) pins are invisible to gains but
+    still tracked for the incremental cut.
 
     The backing {!graph} is a growable pins/incidence view (arrays of
     arrays with live-prefix lengths) rather than the immutable CSR, because

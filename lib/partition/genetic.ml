@@ -1,15 +1,16 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Rng = Mlpart_util.Rng
 
-type config = {
-  population : int;
-  generations : int;
-  mutation : float;
-  engine : Fm.config;
-}
+type config = { engine : Fm.config }
 
-let default =
-  { population = 8; generations = 24; mutation = 0.02; engine = Fm.default }
+let default = { engine = Fm.default }
+
+(* The run's shape: 8 FM-refined solutions, 24 offspring each refined by
+   one more descent, and a 2% per-module mutation, so a run costs 32 FM
+   descents. *)
+let population_size = 8
+let generations = 24
+let mutation = 0.02
 
 type result = { side : int array; cut : int; evaluations : int }
 
@@ -35,7 +36,6 @@ let mutate rng mutation side =
     side
 
 let run ?(config = default) ?init rng h =
-  if config.population < 2 then invalid_arg "Genetic.run: population < 2";
   let evaluations = ref 0 in
   let arena = Fm.create_arena ~h () in
   let descend init =
@@ -44,7 +44,7 @@ let run ?(config = default) ?init rng h =
     (r.Fm.side, r.Fm.cut)
   in
   let population =
-    Array.init config.population (fun i ->
+    Array.init population_size (fun i ->
         if i = 0 && init <> None then descend init else descend None)
   in
   let worst_index () =
@@ -56,14 +56,14 @@ let run ?(config = default) ?init rng h =
     !worst
   in
   let tournament () =
-    let a = Rng.int rng config.population in
-    let b = Rng.int rng config.population in
+    let a = Rng.int rng population_size in
+    let b = Rng.int rng population_size in
     if snd population.(a) <= snd population.(b) then fst population.(a)
     else fst population.(b)
   in
-  for _ = 1 to config.generations do
+  for _ = 1 to generations do
     let child = crossover rng (tournament ()) (tournament ()) in
-    mutate rng config.mutation child;
+    mutate rng mutation child;
     let refined = descend (Some child) in
     let w = worst_index () in
     if snd refined < snd population.(w) then population.(w) <- refined

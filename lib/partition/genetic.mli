@@ -9,14 +9,12 @@
     with the configured FM engine.  Steady-state replacement of the worst
     member. *)
 
-type config = {
-  population : int;  (** default 8 *)
-  generations : int;  (** offspring produced; default 24 *)
-  mutation : float;  (** per-module flip probability; default 0.02 *)
-  engine : Fm.config;  (** refinement engine; default plain FM *)
-}
+type config = { engine : Fm.config  (** refinement engine *) }
 
 val default : config
+(** Plain FM descents.  The population is 8, 24 offspring are produced,
+    and each module of an offspring flips with probability 0.02, so a run
+    performs 32 descents. *)
 
 type result = {
   side : int array;

@@ -1,13 +1,14 @@
 module H = Mlpart_hypergraph.Hypergraph
-module Rng = Mlpart_util.Rng
 
-type config = { beam : int; max_passes : int; net_threshold : int }
+(* Candidates per side per step: classic KL evaluates all pairs, twelve
+   per side keep a step at 144 exact swap gains. *)
+let beam = 12
 
-let default = { beam = 12; max_passes = max_int; net_threshold = 200 }
+type result = { side : int array; cut : int; passes : int }
 
-type result = { side : int array; cut : int; passes : int; swaps : int }
+let net_threshold = Refine_core.net_threshold
 
-let run ?(config = default) ?init rng h =
+let run ?init rng h =
   let n = H.num_modules h in
   let bp =
     match init with
@@ -16,21 +17,19 @@ let run ?(config = default) ?init rng h =
   in
   let gain = Array.make n 0 in
   let locked = Array.make n false in
-  let recompute_gain v =
-    gain.(v) <- Bipartition.gain ~net_threshold:config.net_threshold bp v
-  in
+  let recompute_gain v = gain.(v) <- Bipartition.gain ~net_threshold bp v in
   (* After a module moves, only its nets' pins see gain changes. *)
   let refresh_neighbours v =
     H.iter_nets_of h v (fun e ->
         H.iter_pins_of h e (fun u -> if not locked.(u) then recompute_gain u))
   in
   let top_candidates side_wanted =
-    let best = Array.make config.beam (-1) in
+    let best = Array.make beam (-1) in
     for v = 0 to n - 1 do
       if (not locked.(v)) && Bipartition.side bp v = side_wanted then begin
         (* insertion into a fixed-size descending-gain beam *)
         let rec place i candidate =
-          if i < config.beam then
+          if i < beam then
             if best.(i) < 0 || gain.(candidate) > gain.(best.(i)) then begin
               let displaced = best.(i) in
               best.(i) <- candidate;
@@ -43,76 +42,60 @@ let run ?(config = default) ?init rng h =
     done;
     Array.to_list best |> List.filter (fun v -> v >= 0)
   in
-  let swap_stack = Array.make n (0, 0) in
-  let run_pass () =
-    Array.fill locked 0 n false;
-    for v = 0 to n - 1 do
-      recompute_gain v
-    done;
-    let swaps = ref 0 in
-    let cum = ref 0 in
-    let best = ref 0 in
-    let best_count = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let cand0 = top_candidates 0 and cand1 = top_candidates 1 in
-      if cand0 = [] || cand1 = [] then continue := false
-      else begin
-        (* exact pairwise swap gains: move a tentatively, read b's gain *)
-        let best_pair = ref None in
-        List.iter
-          (fun a ->
-            let ga = gain.(a) in
-            Bipartition.move bp a;
-            List.iter
-              (fun b ->
-                let total =
-                  ga + Bipartition.gain ~net_threshold:config.net_threshold bp b
-                in
-                match !best_pair with
-                | Some (_, _, bg) when bg >= total -> ()
-                | Some _ | None -> best_pair := Some (a, b, total))
-              cand1;
-            Bipartition.move bp a)
-          cand0;
-        match !best_pair with
-        | None -> continue := false
-        | Some (a, b, g) ->
-            Bipartition.move bp a;
-            Bipartition.move bp b;
-            locked.(a) <- true;
-            locked.(b) <- true;
-            refresh_neighbours a;
-            refresh_neighbours b;
-            swap_stack.(!swaps) <- (a, b);
-            incr swaps;
-            cum := !cum + g;
-            if !cum > !best then begin
-              best := !cum;
-              best_count := !swaps
-            end
-      end
-    done;
-    (* keep the best prefix of swaps *)
-    for i = !swaps - 1 downto !best_count do
-      let a, b = swap_stack.(i) in
-      Bipartition.move bp a;
-      Bipartition.move bp b
-    done;
-    (!best, !best_count)
+  (* A candidate is the swap (a * n) + b of a side-0 module a and a side-1
+     module b.  Select evaluates exact pairwise gains (move a tentatively,
+     read b's gain) and leaves the winner's gain for commit. *)
+  let chosen_gain = ref 0 in
+  let select () =
+    let cand0 = top_candidates 0 and cand1 = top_candidates 1 in
+    if cand0 = [] || cand1 = [] then -1
+    else begin
+      let best = ref (-1) and best_g = ref min_int in
+      List.iter
+        (fun a ->
+          let ga = gain.(a) in
+          Bipartition.move bp a;
+          List.iter
+            (fun b ->
+              let total = ga + Bipartition.gain ~net_threshold bp b in
+              if total > !best_g then begin
+                best := (a * n) + b;
+                best_g := total
+              end)
+            cand1;
+          Bipartition.move bp a)
+        cand0;
+      chosen_gain := !best_g;
+      !best
+    end
   in
-  let passes = ref 0 in
-  let swaps = ref 0 in
-  let improving = ref true in
-  while !improving && !passes < config.max_passes do
-    let pass_gain, pass_swaps = run_pass () in
-    incr passes;
-    swaps := !swaps + pass_swaps;
-    if pass_gain <= 0 then improving := false
-  done;
-  {
-    side = Bipartition.side_array bp;
-    cut = Bipartition.cut bp;
-    passes = !passes;
-    swaps = !swaps;
-  }
+  let swap c =
+    Bipartition.move bp (c / n);
+    Bipartition.move bp (c mod n)
+  in
+  let commit c =
+    swap c;
+    locked.(c / n) <- true;
+    locked.(c mod n) <- true;
+    refresh_neighbours (c / n);
+    refresh_neighbours (c mod n);
+    !chosen_gain
+  in
+  let ops =
+    {
+      Refine_core.select;
+      commit;
+      undo = swap;
+      rebuild = (fun ~first_bad:_ ~kept:_ -> ());
+    }
+  in
+  let order = Array.make n 0 in
+  let passes, _ =
+    Refine_core.drive ~max_passes:max_int (fun ~pass:_ ->
+        Array.fill locked 0 n false;
+        for v = 0 to n - 1 do
+          recompute_gain v
+        done;
+        Refine_core.run_pass ~order ops)
+  in
+  { side = Bipartition.side_array bp; cut = Bipartition.cut bp; passes }

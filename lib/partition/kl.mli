@@ -5,21 +5,14 @@
     FM's, which is precisely the motivation for Fiduccia–Mattheyses.
 
     Candidate pruning keeps it usable: each step evaluates exact swap
-    gains only between the [beam] highest-gain modules of each side
-    (classic KL evaluates all pairs). *)
+    gains only between the 12 highest-gain modules of each side (classic
+    KL evaluates all pairs).  Passes run on {!Refine_core}, one swap per
+    move, until one yields no gain; nets of more than
+    {!Refine_core.net_threshold} pins are ignored by gains. *)
 
-type config = {
-  beam : int;  (** candidates per side per step; default 12 *)
-  max_passes : int;
-  net_threshold : int;
-}
-
-val default : config
-
-type result = { side : int array; cut : int; passes : int; swaps : int }
+type result = { side : int array; cut : int; passes : int }
 
 val run :
-  ?config:config ->
   ?init:int array ->
   Mlpart_util.Rng.t ->
   Mlpart_hypergraph.Hypergraph.t ->

@@ -1,12 +1,15 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Rng = Mlpart_util.Rng
 
-type config = { engine : Fm.config; descents : int; kick_fraction : float }
+type config = { engine : Fm.config; descents : int }
 
-let default = { engine = Fm.default; descents = 100; kick_fraction = 0.05 }
-let default_clip = { default with engine = Fm.clip }
+let default = { engine = Fm.default; descents = 100 }
 
-type result = { side : int array; cut : int; descents_run : int }
+(* Kick size as a fraction of the module count: 5% jumps far enough to
+   leave the current basin while the next descent stays cheap. *)
+let kick_fraction = 0.05
+
+type result = { side : int array; cut : int }
 
 (* Kick: flip a random connected blob.  Growing the blob along nets (rather
    than flipping isolated random modules) makes the jump large in solution
@@ -43,11 +46,11 @@ let run ?(config = default) ?init rng h =
   let best_side = ref first.Fm.side in
   let best_cut = ref first.Fm.cut in
   for _ = 2 to config.descents do
-    let kicked = kick rng h !best_side config.kick_fraction in
+    let kicked = kick rng h !best_side kick_fraction in
     let r = descend (Some kicked) in
     if r.Fm.cut < !best_cut then begin
       best_cut := r.Fm.cut;
       best_side := r.Fm.side
     end
   done;
-  { side = !best_side; cut = !best_cut; descents_run = config.descents }
+  { side = !best_side; cut = !best_cut }

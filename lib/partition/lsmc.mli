@@ -10,17 +10,13 @@
 type config = {
   engine : Fm.config;  (** descent engine (plain FM or CLIP) *)
   descents : int;  (** number of kick+descend iterations; default 100 *)
-  kick_fraction : float;
-      (** blob size as a fraction of the module count; default 0.05 *)
 }
 
 val default : config
-(** FM descents, 100 iterations, 5% kicks. *)
+(** FM descents, 100 iterations.  Every kick flips a blob of 5% of the
+    modules. *)
 
-val default_clip : config
-(** CLIP descents, otherwise as {!default}. *)
-
-type result = { side : int array; cut : int; descents_run : int }
+type result = { side : int array; cut : int }
 
 val run :
   ?config:config ->

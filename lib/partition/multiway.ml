@@ -10,10 +10,7 @@ type config = { objective : objective; tolerance : float }
 
 let default = { objective = Sum_degrees; tolerance = 0.1 }
 
-(* Nets with more pins than this are invisible to gains but still counted
-   in the cut, as in [Fm.default]: one move almost never uncuts such a net,
-   and its pins would dominate every gain update. *)
-let net_threshold = 200
+let net_threshold = Refine_core.net_threshold
 
 type result = { side : int array; cut : int; sum_degrees : int }
 

@@ -20,8 +20,9 @@ type objective =
 type config = { objective : objective; tolerance : float }
 
 val default : config
-(** Sum-of-degrees, tolerance 0.1.  Nets of more than 200 pins are
-    invisible to gains, as in {!Fm.default}. *)
+(** Sum-of-degrees, tolerance 0.1.  Nets of more than
+    {!Refine_core.net_threshold} (200) pins are invisible to gains, as in
+    {!Fm.default}. *)
 
 type result = {
   side : int array;

@@ -1,18 +1,14 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Rng = Mlpart_util.Rng
 
-type config = {
-  p : float;
-  clip : bool;
-  net_threshold : int;
-  tolerance : float;
-  max_passes : int;
-}
+type config = { clip : bool; tolerance : float }
 
-let default =
-  { p = 0.95; clip = false; net_threshold = 200; tolerance = 0.1; max_passes = max_int }
+let default = { clip = false; tolerance = 0.1 }
 
-type result = { side : int array; cut : int; passes : int; moves : int }
+(* The per-module move probability: 0.95, the original work's setting. *)
+let p = 0.95
+
+type result = { side : int array; cut : int }
 
 (* Lazy binary max-heap of (key, version, module).  Entries are invalidated
    by bumping the module's version; stale entries are skipped on pop. *)
@@ -111,7 +107,7 @@ let init_pass st =
     st.free_on.((2 * e) + 1) <- Bipartition.pins_on st.bp e 1
   done;
   for e = 0 to m - 1 do
-    if H.net_size st.h e <= st.cfg.net_threshold then begin
+    if H.net_size st.h e <= Refine_core.net_threshold then begin
       let base = H.net_offset st.h e in
       for i = 0 to H.net_size st.h e - 1 do
         let u = H.pin_at st.h (base + i) in
@@ -136,7 +132,7 @@ let apply_move st v =
       st.free_on.((2 * e) + from) <- st.free_on.((2 * e) + from) - 1);
   Bipartition.move st.bp v;
   H.iter_nets_of st.h v (fun e ->
-      if H.net_size st.h e <= st.cfg.net_threshold then begin
+      if H.net_size st.h e <= Refine_core.net_threshold then begin
         let base = H.net_offset st.h e in
         for i = 0 to H.net_size st.h e - 1 do
           let u = H.pin_at st.h (base + i) in
@@ -159,54 +155,25 @@ let unmove st v =
   H.iter_nets_of st.h v (fun e ->
       st.free_on.((2 * e) + from) <- st.free_on.((2 * e) + from) + 1)
 
-(* Pop the best valid, feasible entry; infeasible-but-valid entries are set
-   aside and restored afterwards. *)
+(* Pop the best valid, feasible entry, or -1 when none remains; stale
+   entries are dropped, infeasible-but-valid ones set aside and pushed
+   back afterwards. *)
 let select st =
   let stashed = ref [] in
   let rec go () =
     match Heap.pop st.heap with
-    | None -> None
+    | None -> -1
     | Some { key; version; v } ->
         if st.locked.(v) || version <> st.version.(v) || key <> key_of st v then go ()
-        else if Bipartition.move_is_feasible st.bp st.bounds v then Some v
+        else if Bipartition.move_is_feasible st.bp st.bounds v then v
         else begin
           stashed := v :: !stashed;
           go ()
         end
   in
-  let result = go () in
+  let v = go () in
   List.iter (fun v -> push st v) !stashed;
-  result
-
-let run_pass st order =
-  init_pass st;
-  let moved = ref 0 in
-  let cum = ref 0 in
-  let best = ref 0 in
-  let best_count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match select st with
-    | None -> continue := false
-    | Some v ->
-        (* The true cut change is the discrete FM gain, not the
-           probabilistic score used for ordering. *)
-        let g =
-          Bipartition.gain ~net_threshold:st.cfg.net_threshold st.bp v
-        in
-        apply_move st v;
-        order.(!moved) <- v;
-        incr moved;
-        cum := !cum + g;
-        if !cum > !best then begin
-          best := !cum;
-          best_count := !moved
-        end
-  done;
-  for i = !moved - 1 downto !best_count do
-    unmove st order.(i)
-  done;
-  (!best, !moved)
+  v
 
 let run ?(config = default) ?init rng h =
   let bounds = Bipartition.bounds ~tolerance:config.tolerance h in
@@ -228,7 +195,7 @@ let run ?(config = default) ?init rng h =
   in
   let pow = Array.make (max_size + 2) 1.0 in
   for k = 1 to max_size + 1 do
-    pow.(k) <- pow.(k - 1) *. config.p
+    pow.(k) <- pow.(k - 1) *. p
   done;
   let st =
     {
@@ -246,19 +213,23 @@ let run ?(config = default) ?init rng h =
       pow;
     }
   in
+  (* Selection follows the probabilistic score, but the credited gain is
+     the true cut change: the discrete FM gain. *)
+  let ops =
+    {
+      Refine_core.select = (fun () -> select st);
+      commit =
+        (fun v ->
+          let g = Bipartition.gain ~net_threshold:Refine_core.net_threshold st.bp v in
+          apply_move st v;
+          g);
+      undo = unmove st;
+      rebuild = (fun ~first_bad:_ ~kept:_ -> ());
+    }
+  in
   let order = Array.make n 0 in
-  let passes = ref 0 in
-  let moves = ref 0 in
-  let improving = ref true in
-  while !improving && !passes < config.max_passes do
-    let pass_gain, pass_moves = run_pass st order in
-    incr passes;
-    moves := !moves + pass_moves;
-    if pass_gain <= 0 then improving := false
-  done;
-  {
-    side = Bipartition.side_array st.bp;
-    cut = Bipartition.cut st.bp;
-    passes = !passes;
-    moves = !moves;
-  }
+  ignore
+    (Refine_core.drive ~max_passes:max_int (fun ~pass:_ ->
+         init_pass st;
+         Refine_core.run_pass ~order ops));
+  { side = Bipartition.side_array st.bp; cut = Bipartition.cut st.bp }

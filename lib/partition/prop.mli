@@ -11,6 +11,8 @@
     this degenerates to the classic FM gain.  Gains are non-discrete, so a
     binary heap with lazy invalidation replaces the bucket structure — the
     4–8x runtime factor the paper reports stems from exactly this change.
+    Passes run on {!Refine_core}: select pops the heap, and commit credits
+    the move's discrete FM gain.
 
     We keep [p] constant while a module is free and drop it to zero on
     locking; this is the simplification documented in DESIGN.md (the
@@ -19,17 +21,14 @@
     [clip = true] gives CL-PR: selection is by gain {e offset} from the
     pass-initial gain, as in CLIP. *)
 
-type config = {
-  p : float;  (** per-module move probability; default 0.95 *)
-  clip : bool;
-  net_threshold : int;
-  tolerance : float;
-  max_passes : int;
-}
+type config = { clip : bool; tolerance : float }
 
 val default : config
+(** Plain PROP, tolerance 0.1.  Nets of more than
+    {!Refine_core.net_threshold} pins are ignored by gains, and passes run
+    until one yields no gain. *)
 
-type result = { side : int array; cut : int; passes : int; moves : int }
+type result = { side : int array; cut : int }
 
 val run :
   ?config:config ->

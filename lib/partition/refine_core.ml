@@ -1,3 +1,8 @@
+(* Nets with more pins than this are invisible to gains but still counted
+   in the cut: one move almost never uncuts such a net, and its pins would
+   dominate every gain update. *)
+let net_threshold = 200
+
 type ops = {
   select : unit -> int;
   commit : int -> int;

@@ -1,6 +1,7 @@
 (** Engine-agnostic FM move loop: the best-prefix pass schedule shared by
-    the bipartitioning engine ([Fm]) and the k-way pass
-    ([Multiway.refine], which the n-level engine's polish also runs).
+    four clients: the bipartitioning engine ([Fm]), the k-way pass
+    ([Multiway.refine], which the n-level engine's polish also runs), PROP
+    ([Prop]) and Kernighan–Lin ([Kl]).
 
     A pass repeatedly asks the host engine for its best feasible candidate,
     commits it, and tracks the cumulative gain; the longest prefix with the
@@ -8,7 +9,16 @@
     host engine owns all partition/gain/bucket state and exposes it through
     the four {!ops} callbacks; this module owns only the move stack and the
     prefix arithmetic, so its semantics (early exit, CDIP-style bounded
-    backtracking, final rollback) are identical across engines. *)
+    backtracking, final rollback) are identical across engines.  A
+    candidate is any non-negative int the host can decode: a module for
+    [Fm] and [Prop], (module * k) + target part for [Multiway], and a swap
+    (a * n) + b for [Kl]. *)
+
+val net_threshold : int
+(** 200: nets with more pins are invisible to every FM-family gain
+    ([Fm.default], [Prop], [Kl], [Multiway], [Gain_cache]) but still
+    counted in the cut.  One move almost never uncuts such a net, and its
+    pins would dominate every gain update. *)
 
 type ops = {
   select : unit -> int;

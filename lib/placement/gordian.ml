@@ -1,14 +1,14 @@
 module H = Mlpart_hypergraph.Hypergraph
 
-type config = {
-  num_pads : int option;
-  clique_limit : int;
-  cg_tol : float;
-  cg_max_iter : int;
-}
+type config = { num_pads : int option }
 
-let default =
-  { num_pads = None; clique_limit = 32; cg_tol = 1e-7; cg_max_iter = 500 }
+let default = { num_pads = None }
+
+(* Each axis's conjugate-gradient solve stops at [Quadratic.solve]'s
+   relative residual of 1e-7 or after 500 iterations, half its default
+   cap: a bound on GORDIAN's cost, and the value the Table IX comparisons
+   here were made with. *)
+let cg_max_iter = 500
 
 type result = {
   side : int array;
@@ -95,8 +95,7 @@ let run ?(config = default) h =
   let fixed_x = Array.to_list (Array.map (fun (v, x, _) -> (v, x)) placed) in
   let fixed_y = Array.to_list (Array.map (fun (v, _, y) -> (v, y)) placed) in
   let solve fixed =
-    let system = Quadratic.build ~clique_limit:config.clique_limit h ~fixed in
-    Quadratic.solve ~tol:config.cg_tol ~max_iter:config.cg_max_iter system
+    Quadratic.solve ~max_iter:cg_max_iter (Quadratic.build h ~fixed)
   in
   let x = solve fixed_x in
   let y = solve fixed_y in

@@ -12,12 +12,12 @@
 type config = {
   num_pads : int option;
       (** pads to pre-place; default [None] = [max 16 (n / 100)] *)
-  clique_limit : int;  (** net-model switch-over size; default 32 *)
-  cg_tol : float;
-  cg_max_iter : int;
 }
 
 val default : config
+(** Default pad count.  Nets use {!Quadratic.build}'s net model, and each
+    axis is solved to a relative residual of 1e-7 or 500 conjugate-gradient
+    iterations. *)
 
 type result = {
   side : int array;  (** quadrant of each module, in [0 .. 3] *)

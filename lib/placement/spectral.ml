@@ -1,14 +1,10 @@
 module H = Mlpart_hypergraph.Hypergraph
 
-type config = {
-  iterations : int;
-  tol : float;
-  clique_limit : int;
-  refine : Mlpart_partition.Fm.config option;
-}
-
-let default = { iterations = 500; tol = 1e-7; clique_limit = 32; refine = None }
-let eig_fm = { default with refine = Some Mlpart_partition.Fm.default }
+(* Power iteration stops after 500 steps or once successive iterates
+   agree to within 1e-7 (1 - |<x, y>|); the cap bounds EIG's cost on
+   slowly converging netlists. *)
+let iterations = 500
+let tol = 1e-7
 
 type result = {
   side : int array;
@@ -25,9 +21,9 @@ type laplacian = {
   weight : float array;
 }
 
-let build_laplacian ~clique_limit h =
+let build_laplacian h =
   let n = H.num_modules h in
-  let edges = Quadratic.net_model_edges ~clique_limit h in
+  let edges = Quadratic.net_model_edges h in
   let diag = Array.make n 0.0 in
   let degree = Array.make n 0 in
   List.iter
@@ -123,25 +119,13 @@ let median_split h order =
    with Exit -> ());
   side
 
-let run ?(config = default) h =
+let run h =
   let n = H.num_modules h in
-  let lap = build_laplacian ~clique_limit:config.clique_limit h in
-  let fiedler, iterations_used =
-    fiedler_vector ~iterations:config.iterations ~tol:config.tol lap n
-  in
+  let lap = build_laplacian h in
+  let fiedler, iterations_used = fiedler_vector ~iterations ~tol lap n in
   let order = Array.init n (fun v -> v) in
   Array.sort
     (fun a b -> compare (fiedler.(a), a) (fiedler.(b), b))
     order;
   let side = median_split h order in
-  let side, cut =
-    match config.refine with
-    | None -> (side, Mlpart_partition.Fm.cut_of h side)
-    | Some fm_config ->
-        let r =
-          Mlpart_partition.Fm.run ~config:fm_config ~init:side
-            (Mlpart_util.Rng.create 0x5bec) h
-        in
-        (r.Mlpart_partition.Fm.side, r.Mlpart_partition.Fm.cut)
-  in
-  { side; cut; fiedler; iterations_used }
+  { side; cut = Mlpart_partition.Fm.cut_of h side; fiedler; iterations_used }

@@ -7,21 +7,10 @@
     model as {!Quadratic}; the Fiedler vector (eigenvector of the second
     smallest Laplacian eigenvalue) is computed by shifted power iteration
     with deflation of the constant vector, and the module ordering it
-    induces is split at the area median.  An optional FM run refines the
-    split (the classic "two-phase" EIG+FM). *)
+    induces is split at the area median.  The classic two-phase EIG+FM
+    runs FM from this split ([Algos.eig_fm]).
 
-type config = {
-  iterations : int;  (** power-iteration cap; default 500 *)
-  tol : float;  (** eigenvector convergence tolerance; default 1e-7 *)
-  clique_limit : int;
-  refine : Mlpart_partition.Fm.config option;
-      (** run FM from the spectral split; default [None] (pure EIG) *)
-}
-
-val default : config
-
-val eig_fm : config
-(** [default] with plain-FM refinement. *)
+    Power iteration stops after 500 steps or at a tolerance of 1e-7. *)
 
 type result = {
   side : int array;
@@ -30,7 +19,7 @@ type result = {
   iterations_used : int;
 }
 
-val run : ?config:config -> Mlpart_hypergraph.Hypergraph.t -> result
+val run : Mlpart_hypergraph.Hypergraph.t -> result
 (** Deterministic (the iteration starts from a fixed pseudo-random vector).
     On disconnected netlists the leading non-constant eigenvector separates
     components, which is the natural spectral behaviour. *)

@@ -10,18 +10,9 @@ let m_leaves = Metrics.counter "place.leaves"
 
 type terminal_model = Ignore_external | Propagate_to_quadrant
 
-type config = {
-  leaf_size : int;
-  terminal_model : terminal_model;
-  num_pads : int option;
-}
+type config = { leaf_size : int; terminal_model : terminal_model }
 
-let default =
-  {
-    leaf_size = 12;
-    terminal_model = Propagate_to_quadrant;
-    num_pads = None;
-  }
+let default = { leaf_size = 12; terminal_model = Propagate_to_quadrant }
 
 type result = {
   x : float array;
@@ -166,15 +157,12 @@ let run ?(config = default) ?deadline rng h =
   in
   let x = Array.make n 0.0 and y = Array.make n 0.0 in
   let placed = Array.make n false in
-  (* Pre-place pads on the boundary as in the GORDIAN baseline. *)
-  let pad_count =
-    match config.num_pads with
-    | Some c -> Stdlib.max 1 (Stdlib.min c n)
-    | None -> Stdlib.min n (Stdlib.max 16 (n / 100))
-  in
+  (* Pre-place pads on the boundary as in the GORDIAN baseline: 1% of the
+     modules, at least 16, stand in for the missing pad lists. *)
+  let pad_count = Stdlib.min n (Stdlib.max 16 (n / 100)) in
   let gpads =
     (* reuse Gordian's pad selection and boundary layout *)
-    let r = Gordian.run ~config:{ Gordian.default with num_pads = Some pad_count } h in
+    let r = Gordian.run ~config:{ Gordian.num_pads = Some pad_count } h in
     Array.map (fun p -> (p, r.Gordian.x.(p), r.Gordian.y.(p))) r.Gordian.pads
   in
   Array.iter

@@ -24,11 +24,12 @@ type terminal_model =
 type config = {
   leaf_size : int;  (** stop recursing below this many modules (default 12) *)
   terminal_model : terminal_model;
-  num_pads : int option;  (** as in {!Gordian.config} *)
 }
 
 val default : config
-(** Terminal propagation on, MLf quadrisection as in Table IX. *)
+(** Terminal propagation on, MLf quadrisection as in Table IX.  The pads
+    are {!Gordian.default}'s: the [max 16 (n / 100)] highest-degree
+    modules. *)
 
 type result = {
   x : float array;

@@ -4,9 +4,11 @@
     against few designs (different seeds, tolerances, start counts); the
     coarsening hierarchy depends on none of those, so repeated queries
     skip straight to initial partitioning + refinement.  Keys must encode
-    everything the hierarchy {e does} depend on — the netlist
-    {!fingerprint} plus the coarsening parameters and coarsening seed (see
-    {!Engine}) — which is what makes a hit bit-identical to a cold run.
+    everything the hierarchy {e does} depend on that varies between
+    lookups — which is what makes a hit bit-identical to a cold run.  In
+    {!Engine} that is the netlist {!fingerprint} alone: the coarsening
+    parameters (MLc) and the coarsening seed are fixed for the engine's
+    lifetime, and one cache belongs to one engine.
 
     Every entry carries a structural checksum taken at insert time and
     re-verified on lookup: a corrupted entry (bit rot, a buggy mutation

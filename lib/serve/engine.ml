@@ -25,7 +25,6 @@ type config = {
   retry_cap_ms : int;
   default_timeout_ms : int option;
   faults : Faults.config;
-  ml : Ml.config;
 }
 
 let default =
@@ -41,7 +40,6 @@ let default =
     retry_cap_ms = 50;
     default_timeout_ms = None;
     faults = Faults.none;
-    ml = Ml.mlc;
   }
 
 (* The request ledger: received = completed + rejected + failed, exactly.
@@ -111,7 +109,7 @@ let resolve tk r =
   Condition.broadcast tk.tc;
   Mutex.unlock tk.tm
 
-let now_ms () = Unix.gettimeofday () *. 1000.
+let now_ms () = float_of_int (Mlpart_util.Clock.now_ns ()) *. 1e-6
 
 let client_count t client =
   Option.value (Hashtbl.find_opt t.clients client) ~default:0
@@ -149,33 +147,15 @@ let load_netlist (req : P.request) =
       | exception Not_found ->
           Diag.fail ~source Diag.Bad_token "unknown benchmark %S" name)
   | P.Path path -> (
-      let parse path =
-        if Filename.check_suffix path ".net" || Filename.check_suffix path ".netD"
-        then
-          Result.map
-            (fun p -> p.Netd_io.hypergraph)
-            (Netd_io.parse_files ~mode:Hgr_io.Strict path)
-        else
-          Result.map
-            (fun p -> p.Hgr_io.hypergraph)
-            (Hgr_io.parse_file ~mode:Hgr_io.Strict path)
-      in
-      match parse path with
-      | Ok h -> h
+      match Netd_io.parse_path ~mode:Hgr_io.Strict path with
+      | Ok parsed -> parsed.Hgr_io.hypergraph
       | Error ds -> raise (Diag.Mlpart_error ds)
       | exception Sys_error msg -> Diag.fail ~source Diag.Io_error "%s" msg)
-
-let cache_key t ~fp =
-  let ml = t.config.ml in
-  Printf.sprintf "%Lx:cs%d:t%d:r%h:n%d:d%b:l%d" fp t.config.coarsen_seed
-    ml.Ml.threshold ml.Ml.ratio ml.Ml.match_net_size ml.Ml.merge_duplicates
-    ml.Ml.max_levels
 
 let compute t (req : P.request) ~attempt =
   let h = load_netlist req in
   let ml =
-    { t.config.ml with
-      engine = { t.config.ml.engine with Fm.tolerance = req.P.tolerance } }
+    { Ml.mlc with engine = { Ml.mlc.Ml.engine with Fm.tolerance = req.P.tolerance } }
   in
   let pool = intra_pool t in
   let fp = Cache.fingerprint h in
@@ -185,12 +165,16 @@ let compute t (req : P.request) ~attempt =
   let coarsen_rng () =
     Rng.stream (Rng.create t.config.coarsen_seed) (Int64.to_int fp land max_int)
   in
+  (* The coarsening configuration (MLc) and [coarsen_seed] are fixed for
+     the engine's lifetime, and one cache belongs to one engine, so the
+     fingerprint alone keys a hierarchy. *)
+  let key = Printf.sprintf "%Lx" fp in
   let hier, cache_flag =
-    match Cache.find t.cache (cache_key t ~fp) with
+    match Cache.find t.cache key with
     | Cache.Hit hier -> (hier, `Hit)
     | Cache.Miss | Cache.Corrupt ->
         let hier = Ml.hierarchy ~config:ml ?pool (coarsen_rng ()) h in
-        Cache.add t.cache (cache_key t ~fp) hier;
+        Cache.add t.cache key hier;
         (hier, `Miss)
   in
   let deadline =

@@ -36,14 +36,12 @@ type config = {
   retry_cap_ms : int;  (** backoff cap *)
   default_timeout_ms : int option;  (** deadline for requests without one *)
   faults : Faults.config;  (** injection profile; {!Faults.none} in prod *)
-  ml : Mlpart_multilevel.Ml.config;
-      (** base multilevel configuration; per-request tolerance overrides
-          its engine tolerance *)
 }
 
 val default : config
 (** 1 worker, queue 64, 16 in-flight per client, cache 32, 2 retries,
-    no default deadline, no faults, MLc. *)
+    no default deadline, no faults.  Every request runs MLc
+    ({!Mlpart_multilevel.Ml.mlc}) at the request's tolerance. *)
 
 type t
 

@@ -1,6 +1,7 @@
 type t = { at : float; mutable hit : bool }
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock. *)
+let now () = float_of_int (Clock.now_ns ()) *. 1e-9
 
 let make ~seconds =
   let t = { at = now () +. seconds; hit = false } in

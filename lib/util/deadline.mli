@@ -1,4 +1,4 @@
-(** Cooperative wall-clock deadlines.
+(** Cooperative deadlines on the monotonic {!Clock}.
 
     A deadline is checked, never enforced: long-running drivers poll
     {!check} at natural safe points (between multi-start runs, between
@@ -18,7 +18,7 @@ val make : seconds:float -> t
     [seconds] yields a deadline that is already expired. *)
 
 val check : t -> bool
-(** [true] once the wall clock has passed the deadline (latches). *)
+(** [true] once the clock has passed the deadline (latches). *)
 
 val expired : t -> bool
 (** Whether {!check} ever returned [true] (does not itself re-read the

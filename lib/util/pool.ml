@@ -280,7 +280,7 @@ let shared = ref None
    very domain, leaving the job-clearing code unreachable below us. *)
 let await_idle ?patience t =
   let deadline =
-    Option.map (fun s -> Unix.gettimeofday () +. s) patience
+    Option.map (fun s -> Clock.now_ns () + int_of_float (s *. 1e9)) patience
   in
   let rec loop () =
     Mutex.lock t.mutex;
@@ -289,7 +289,7 @@ let await_idle ?patience t =
     if idle then true
     else
       match deadline with
-      | Some d when Unix.gettimeofday () >= d -> false
+      | Some d when Clock.now_ns () >= d -> false
       | Some _ | None ->
           Unix.sleepf 0.001;
           loop ()

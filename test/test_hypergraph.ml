@@ -418,17 +418,18 @@ let equal_hypergraphs a b =
        !ok
      end
 
-(* One arena shared across every generated case exercises the generational
-   stamping: reuse across hypergraphs of different sizes must not leak
-   marks between calls. *)
+(* One arena shared across every generated case and both pool sizes
+   exercises the generational stamping: reuse across hypergraphs of
+   different sizes and across domain counts must not leak marks between
+   calls. *)
 let shared_arena = H.create_arena ()
 
 let prop_induce_matches_reference =
   QCheck.Test.make
     ~name:"direct-CSR induce equals reference impl (both merge settings)"
     ~count:100
-    QCheck.(pair arbitrary_hypergraph small_int)
-    (fun (h, seed) ->
+    QCheck.(triple arbitrary_hypergraph small_int bool)
+    (fun (h, seed, pooled) ->
       let rng = Rng.create seed in
       let n = H.num_modules h in
       (* small cluster counts make duplicate coarse nets likely *)
@@ -436,12 +437,13 @@ let prop_induce_matches_reference =
       let cluster_of =
         Array.init n (fun v -> if v < k then v else Rng.int rng k)
       in
+      let pool = if pooled then Some (Mlpart_util.Pool.get ~jobs:2) else None in
       List.for_all
         (fun merge_duplicates ->
           let fast, kf =
-            H.induce ~merge_duplicates ~arena:shared_arena h cluster_of
+            H.induce ~merge_duplicates ~arena:shared_arena ?pool h cluster_of
           in
-          let fresh, kn = H.induce ~merge_duplicates h cluster_of in
+          let fresh, kn = H.induce ~merge_duplicates ?pool h cluster_of in
           let slow, ks = H.induce_reference ~merge_duplicates h cluster_of in
           kf = ks && kn = ks && equal_hypergraphs fast slow
           && equal_hypergraphs fresh slow)

@@ -4,6 +4,7 @@
 module H = Mlpart_hypergraph.Hypergraph
 module Match = Mlpart_multilevel.Match
 module Ml = Mlpart_multilevel.Ml
+module Hierarchy = Mlpart_multilevel.Hierarchy
 module Mlw = Mlpart_multilevel.Ml_multiway
 module Fm = Mlpart_partition.Fm
 module Bp = Mlpart_partition.Bipartition
@@ -166,8 +167,7 @@ let prop_hierarchy_cluster_cap =
       let threshold = 20 in
       let hierarchy =
         Mlpart_multilevel.Hierarchy.build ~threshold ~ratio:1.0
-          ~match_net_size:10 ~merge_duplicates:false ~max_levels:64
-          (Rng.create (seed + 1)) h
+          ~merge_duplicates:false ~max_levels:64 (Rng.create (seed + 1)) h
       in
       let cap = 4 * H.total_area h / threshold in
       let coarsest = hierarchy.Mlpart_multilevel.Hierarchy.coarsest in
@@ -375,24 +375,27 @@ let prop_projection_preserves_cut =
 let test_coarsen_reaches_threshold () =
   let h = random_instance ~modules:400 1 in
   let config = { Ml.mlf with Ml.threshold = 35 } in
-  let hierarchy, coarsest = Ml.coarsen ~config (Rng.create 2) h in
-  check Alcotest.bool "several levels" true (List.length hierarchy >= 3);
-  check Alcotest.bool "coarsest small" true (H.num_modules coarsest <= 35)
+  let hierarchy = Ml.hierarchy ~config (Rng.create 2) h in
+  check Alcotest.bool "several levels" true
+    (List.length hierarchy.Hierarchy.levels >= 3);
+  check Alcotest.bool "coarsest small" true
+    (H.num_modules hierarchy.Hierarchy.coarsest <= 35)
 
 let test_coarsen_depth_grows_as_ratio_drops () =
   let h = random_instance ~modules:400 3 in
   let depth ratio =
     let config = Ml.with_ratio Ml.mlf ratio in
-    List.length (fst (Ml.coarsen ~config (Rng.create 4) h))
+    List.length (Ml.hierarchy ~config (Rng.create 4) h).Hierarchy.levels
   in
   check Alcotest.bool "R=0.33 deeper than R=1" true (depth 0.33 > depth 1.0)
 
 let test_coarsen_small_input_no_levels () =
   let h = random_instance ~modules:20 5 in
-  let hierarchy, coarsest = Ml.coarsen (Rng.create 6) h in
-  check Alcotest.int "no coarsening below threshold" 0 (List.length hierarchy);
+  let hierarchy = Ml.hierarchy (Rng.create 6) h in
+  check Alcotest.int "no coarsening below threshold" 0
+    (List.length hierarchy.Hierarchy.levels);
   check Alcotest.int "coarsest is input" (H.num_modules h)
-    (H.num_modules coarsest)
+    (H.num_modules hierarchy.Hierarchy.coarsest)
 
 (* ---- ML driver ---- *)
 

@@ -153,7 +153,7 @@ let test_gordian_pads_on_boundary () =
 
 let test_gordian_pad_count_option () =
   let h = gordian_instance 5 in
-  let r = G.run ~config:{ G.default with num_pads = Some 7 } h in
+  let r = G.run ~config:{ G.num_pads = Some 7 } h in
   check Alcotest.int "pad count honoured" 7 (Array.length r.G.pads)
 
 let test_gordian_beaten_by_ml () =
@@ -213,8 +213,9 @@ let test_spectral_separates_cliques () =
 let test_spectral_refined_no_worse () =
   let h = gordian_instance 12 in
   let pure = Sp.run h in
-  let refined = Sp.run ~config:Sp.eig_fm h in
-  check Alcotest.bool "FM refinement helps" true (refined.Sp.cut <= pure.Sp.cut)
+  let module Algos = Mlpart_experiments.Algos in
+  let _, refined = Algos.eig_fm.Algos.run ~tolerance:0.1 (Rng.create 1) h ~k:2 in
+  check Alcotest.bool "FM refinement helps" true (refined <= pure.Sp.cut)
 
 let test_spectral_balanced_split () =
   let h = gordian_instance 13 in

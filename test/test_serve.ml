@@ -303,6 +303,40 @@ let test_engine_cache_hit_skips_coarsen () =
     (cold.Protocol.side = warm.Protocol.side
     && cold.Protocol.side <> None)
 
+(* A .net path request picks up the sibling .are, as the CLI does: it
+   answers exactly as the area-aware netlist sent inline. *)
+let test_engine_path_reads_sibling_are () =
+  let module Netd_io = Mlpart_hypergraph.Netd_io in
+  let h = instance 24 in
+  let net = Filename.temp_file "mlpart-serve" ".net" in
+  let are = Filename.remove_extension net ^ ".are" in
+  let write path text =
+    Out_channel.with_open_text path (fun oc -> output_string oc text)
+  in
+  let answer src =
+    let engine = Engine.create () in
+    let r = ask engine (request_line ~seed:3 ~side:true src) in
+    Engine.drain engine;
+    r
+  in
+  let by_path, inline =
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ net; are ])
+      (fun () ->
+        write net (Netd_io.write_net_string h);
+        write are
+          (String.concat ""
+             (List.init (Mlpart_hypergraph.Hypergraph.num_modules h) (fun v ->
+                  Printf.sprintf "a%d %d\n" v (1 + (v mod 5)))));
+        let with_areas = Netd_io.read_files ~are_path:are net in
+        ( answer (Protocol.Path net),
+          answer (Protocol.Inline (Hgr_io.to_string with_areas)) ))
+  in
+  check Alcotest.bool "answered" true (by_path.Protocol.status = Protocol.Done);
+  check Alcotest.(option int) "same cut" inline.Protocol.cut by_path.Protocol.cut;
+  check Alcotest.bool "same side" true
+    (by_path.Protocol.side = inline.Protocol.side && inline.Protocol.side <> None)
+
 let test_engine_deadline_degrades () =
   let engine = Engine.create () in
   let resp =
@@ -589,6 +623,8 @@ let () =
         [
           Alcotest.test_case "cache hit skips coarsening" `Quick
             test_engine_cache_hit_skips_coarsen;
+          Alcotest.test_case "path request reads the sibling .are" `Quick
+            test_engine_path_reads_sibling_are;
           Alcotest.test_case "deadline degrades gracefully" `Quick
             test_engine_deadline_degrades;
           Alcotest.test_case "admission control" `Quick
