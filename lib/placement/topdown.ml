@@ -235,9 +235,15 @@ let run ?(config = default) ?deadline rng h =
               ("members", Trace.Int (Array.length members));
             ]
           "place/region" t0;
-      for q = 0 to 3 do
-        refine (depth + 1) (quadrant_region region q) (Array.of_list buckets.(q))
-      done
+      if Array.exists (fun b -> List.compare_length_with b count = 0) buckets
+      then
+        (* every member landed in one quadrant: recursing would repeat the
+           same split on a smaller region, so spread the region like a leaf *)
+        place_leaf x y region members
+      else
+        for q = 0 to 3 do
+          refine (depth + 1) (quadrant_region region q) (Array.of_list buckets.(q))
+        done
     end
   in
   refine 0 die movable;

@@ -48,7 +48,9 @@ val run :
   Mlpart_util.Rng.t ->
   Mlpart_hypergraph.Hypergraph.t ->
   result
-(** [deadline] is polled cooperatively before each region's quadrisection;
+(** A region whose quadrisection leaves every member in one quadrant is
+    spread like a leaf rather than split again.
+    [deadline] is polled cooperatively before each region's quadrisection;
     once expired, remaining regions degrade to leaf spreading, so the call
     always returns a complete placement.  Work finished before expiry is
     identical to the untimed run. *)

@@ -278,6 +278,21 @@ let test_topdown_deadline_degrades_gracefully () =
   check Alcotest.(array (float 1e-9)) "same x" untimed.T.x timed.T.x;
   check Alcotest.(array (float 1e-9)) "same y" untimed.T.y timed.T.y
 
+let test_topdown_leaf_one_terminates () =
+  (* at leaf size 1, small regions can come back from quadrisection with
+     every member in one quadrant; such a region must be spread, not split
+     again forever *)
+  let module Deadline = Mlpart_util.Deadline in
+  let h = Mlpart_gen.Suite.instantiate ~seed:1 (Mlpart_gen.Suite.find "balu") in
+  let config = { T.default with T.leaf_size = 1 } in
+  let r = T.run ~config ~deadline:(Deadline.make ~seconds:10.0) (Rng.create 1) h in
+  check Alcotest.bool "not timed out" false r.T.timed_out;
+  check Alcotest.bool
+    (Printf.sprintf "%d quadrisection calls for %d modules" r.T.regions
+       (H.num_modules h))
+    true
+    (r.T.regions < H.num_modules h)
+
 let test_topdown_terminal_propagation_helps () =
   let h = gordian_instance 16 in
   let with_tp = T.run (Rng.create 3) h in
@@ -379,6 +394,8 @@ let () =
           Alcotest.test_case "spreads cells" `Quick test_topdown_spreads_cells;
           Alcotest.test_case "deadline degrades gracefully" `Quick
             test_topdown_deadline_degrades_gracefully;
+          Alcotest.test_case "leaf size 1 terminates" `Quick
+            test_topdown_leaf_one_terminates;
           Alcotest.test_case "terminal propagation" `Slow
             test_topdown_terminal_propagation_helps;
           Alcotest.test_case "beats legalized gordian" `Slow
