@@ -125,72 +125,32 @@ let chunk_bounds ~n =
     Array.init nchunks (fun c -> (c * cs, Stdlib.min n ((c + 1) * cs)))
   end
 
-let parallel_for ?chunk t ~start ~stop ~body =
-  let len = stop - start in
-  if len <= 0 then ()
-  else if t.size = 1 then
-    for i = start to stop - 1 do
-      body i
-    done
-  else begin
-    let chunk =
-      match chunk with
-      | Some c -> Stdlib.max 1 c
-      | None -> chunk_size ~n:len
-    in
-    (* Queue occupancy and chunking choices are recorded per call; chunk
-       execution gets a span and a duration sample.  All of it is probed
-       through {!Probe}, so a build without the obs layer (or with
-       tracing/metrics off) pays one function-reference call per chunk. *)
-    if Probe.recording () then begin
-      Probe.add "pool.parallel_for" 1;
-      Probe.sample "pool.queue_depth" ((len + chunk - 1) / chunk);
-      Probe.sample "pool.chunk_size" chunk
-    end;
-    let next = Atomic.make start in
-    (* Shared cancellation flag: the first chunk whose body raises flips it,
-       and every participant (including the raiser's siblings mid-job) stops
-       taking chunks instead of grinding through the rest of the range.  The
-       exception itself still propagates through [run_job]'s error slot. *)
-    let cancelled = Atomic.make false in
-    run_job t (fun _ ->
-        let continue = ref true in
-        while !continue && not (Atomic.get cancelled) do
-          let lo = Atomic.fetch_and_add next chunk in
-          if lo >= stop then continue := false
-          else begin
-            let hi = Stdlib.min stop (lo + chunk) in
-            let t0 = Probe.begin_span () in
-            if Probe.recording () then Probe.add "pool.chunks" 1;
-            try
-              for i = lo to hi - 1 do
-                body i
-              done;
-              if t0 <> 0 then
-                Probe.end_span ~cat:"pool" ~name:"pool/chunk" ~t0
-                  ~args:[ ("lo", lo); ("hi", hi) ]
-            with exn ->
-              Atomic.set cancelled true;
-              raise exn
-          end
-        done)
-  end
-
-let parallel_chunks t ~n ~body =
+(* The one work loop.  Participants take chunks [c * len, min n ((c + 1) *
+   len)) off an atomic counter until none are left; the output never
+   depends on which participant ran a chunk.  Queue occupancy and chunking
+   choices are recorded per call, and each chunk gets a span and a
+   duration sample, all through {!Probe}: a build without the obs layer
+   (or with tracing/metrics off) pays one function-reference call per
+   chunk. *)
+let run_chunks t ~n ~len ~body =
   if n > 0 then begin
-    let cs = chunk_size ~n in
-    let nchunks = (n + cs - 1) / cs in
+    let nchunks = (n + len - 1) / len in
     if t.size = 1 || nchunks = 1 then
       for c = 0 to nchunks - 1 do
-        body ~slot:0 ~lo:(c * cs) ~hi:(Stdlib.min n ((c + 1) * cs))
+        body ~slot:0 ~lo:(c * len) ~hi:(Stdlib.min n ((c + 1) * len))
       done
     else begin
       if Probe.recording () then begin
         Probe.add "pool.parallel_chunks" 1;
         Probe.sample "pool.queue_depth" nchunks;
-        Probe.sample "pool.chunk_size" cs
+        Probe.sample "pool.chunk_size" len
       end;
       let next = Atomic.make 0 in
+      (* Shared cancellation flag: the first chunk whose body raises flips
+         it, and every participant (including the raiser's siblings
+         mid-job) stops taking chunks instead of grinding through the rest
+         of the range.  The exception itself still propagates through
+         [run_job]'s error slot. *)
       let cancelled = Atomic.make false in
       run_job t (fun slot ->
           let continue = ref true in
@@ -198,7 +158,7 @@ let parallel_chunks t ~n ~body =
             let c = Atomic.fetch_and_add next 1 in
             if c >= nchunks then continue := false
             else begin
-              let lo = c * cs and hi = Stdlib.min n ((c + 1) * cs) in
+              let lo = c * len and hi = Stdlib.min n ((c + 1) * len) in
               let t0 = Probe.begin_span () in
               if Probe.recording () then Probe.add "pool.chunks" 1;
               try
@@ -214,60 +174,18 @@ let parallel_chunks t ~n ~body =
     end
   end
 
-(* Exclusive prefix sum: [dst.(0) = 0], [dst.(i+1) = dst.(i) + src.(i)];
-   returns the total.  [dst] must have room for [n + 1] entries.  Chunk
-   partials are combined in chunk index order, so the result is the exact
-   sequential scan whatever the pool size. *)
-let parallel_scan t ~n ~src ~dst =
-  if n <= 0 then begin
-    if Array.length dst > 0 then dst.(0) <- 0;
-    0
-  end
-  else begin
-    let cs = chunk_size ~n in
-    let nchunks = (n + cs - 1) / cs in
-    if t.size = 1 || nchunks = 1 then begin
-      dst.(0) <- 0;
-      for i = 0 to n - 1 do
-        dst.(i + 1) <- dst.(i) + src.(i)
-      done;
-      dst.(n)
-    end
-    else begin
-      let partial = Array.make nchunks 0 in
-      parallel_chunks t ~n ~body:(fun ~slot:_ ~lo ~hi ->
-          let s = ref 0 in
-          for i = lo to hi - 1 do
-            s := !s + src.(i)
-          done;
-          partial.((lo / cs)) <- !s);
-      let base = Array.make nchunks 0 in
-      for c = 1 to nchunks - 1 do
-        base.(c) <- base.(c - 1) + partial.(c - 1)
-      done;
-      parallel_chunks t ~n ~body:(fun ~slot:_ ~lo ~hi ->
-          let acc = ref base.(lo / cs) in
-          if lo = 0 then dst.(0) <- 0;
-          for i = lo to hi - 1 do
-            acc := !acc + src.(i);
-            dst.(i + 1) <- !acc
-          done);
-      dst.(n)
-    end
-  end
+let parallel_chunks t ~n ~body = run_chunks t ~n ~len:(chunk_size ~n) ~body
 
+(* One element per chunk: a map's items are whole runs or starts, far
+   coarser than the index ranges [parallel_chunks] batches. *)
 let map t f a =
   let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for ~chunk:1 t ~start:0 ~stop:n ~body:(fun i -> out.(i) <- Some (f a.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let map_reduce t ~map:f ~reduce ~init a = Array.fold_left reduce init (map t f a)
-
-let recommended_jobs () = Domain.recommended_domain_count ()
+  let out = Array.make n None in
+  run_chunks t ~n ~len:1 ~body:(fun ~slot:_ ~lo ~hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- Some (f a.(i))
+      done);
+  Array.map Option.get out
 
 let shared = ref None
 

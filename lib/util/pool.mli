@@ -3,10 +3,9 @@
     A pool owns [jobs - 1] worker domains (spawned once at {!create}) plus
     the calling domain, which participates in every operation.  Work is
     distributed by atomic chunk stealing, but results are always delivered
-    in input order, so the outcome of {!map} and {!map_reduce} is
-    independent of how chunks land on domains — callers that pre-split
-    their RNG streams per item get bit-identical results for any pool
-    size.
+    in input order, so the outcome of {!map} is independent of how chunks
+    land on domains — callers that pre-split their RNG streams per item get
+    bit-identical results for any pool size.
 
     Operations are {e not} reentrant: calling into the same pool from
     inside a [body] or mapped function deadlocks.  Parallelise at one
@@ -42,49 +41,28 @@ val drain_shared : unit -> unit
     has stopped submitting work, before [exit] — then the [at_exit] join
     finds nothing left to do. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val chunk_bounds : n:int -> (int * int) array
 (** [chunk_bounds ~n] is the deterministic chunk decomposition of [0, n):
     an array of [(lo, hi)] half-open ranges.  Boundaries are a pure
     function of [n] alone — never of the pool size — which is what makes
-    per-chunk aggregation in chunk order independent of [--jobs].  Every
-    chunked operation below uses exactly this decomposition (unless an
-    explicit [?chunk] override is given to {!parallel_for}). *)
-
-val parallel_for : ?chunk:int -> t -> start:int -> stop:int -> body:(int -> unit) -> unit
-(** [parallel_for t ~start ~stop ~body] runs [body i] for [start <= i <
-    stop] across the pool.  [chunk] overrides the contiguous block size
-    handed to a domain at a time (default: the jobs-independent
-    {!chunk_bounds} size for [stop - start]).  Exceptions in [body] are
-    re-raised in the caller (first one wins); a raising body also flips a
-    shared cancellation flag checked before every chunk, so the remaining
-    chunks are abandoned early rather than run to completion.  An
-    exception neither deadlocks the pool nor poisons it — the next
-    operation on the same pool starts from a clean slate. *)
+    per-chunk aggregation in chunk order independent of [--jobs]. *)
 
 val parallel_chunks : t -> n:int -> body:(slot:int -> lo:int -> hi:int -> unit) -> unit
 (** [parallel_chunks t ~n ~body] runs [body ~slot ~lo ~hi] once per chunk
     of {!chunk_bounds}[ ~n].  [slot] identifies the participating domain
     (caller = 0, workers = 1..size-1) and is only safe for indexing
     per-participant scratch whose contents never influence the output —
-    which chunk lands on which slot is scheduling-dependent.  Cancellation
-    and error semantics match {!parallel_for}. *)
-
-val parallel_scan : t -> n:int -> src:int array -> dst:int array -> int
-(** [parallel_scan t ~n ~src ~dst] writes the exclusive prefix sum of
-    [src.(0 .. n-1)] into [dst] ([dst.(0) = 0], [dst.(i+1) = dst.(i) +
-    src.(i)]) and returns the total [dst.(n)].  [dst] needs [n + 1]
-    entries.  Chunk partials combine in chunk index order, so the result
-    equals the sequential scan for any pool size. *)
+    which chunk lands on which slot is scheduling-dependent.  Exceptions in
+    [body] are re-raised in the caller (first one wins); a raising body
+    also flips a shared cancellation flag checked before every chunk, so
+    the remaining chunks are abandoned early rather than run to
+    completion.  An exception neither deadlocks the pool nor poisons it —
+    the next operation on the same pool starts from a clean slate. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with result order matching input order. *)
-
-val map_reduce : t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-(** Parallel map followed by a sequential in-order fold, so the reduction
-    order (and hence any non-associative effects) is deterministic. *)
+(** Parallel [Array.map] with result order matching input order.  It runs
+    on the same work loop as {!parallel_chunks}, one element per chunk, so
+    it shares that function's error and cancellation behaviour. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down

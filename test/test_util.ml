@@ -215,17 +215,23 @@ let test_tab_formatters () =
 
 module Pool = Mlpart_util.Pool
 
-let test_pool_parallel_for () =
+let test_pool_reuse () =
   Pool.with_pool ~jobs:4 (fun pool ->
       check Alcotest.int "size" 4 (Pool.size pool);
       let n = 1000 in
       let out = Array.make n 0 in
-      Pool.parallel_for pool ~start:0 ~stop:n ~body:(fun i -> out.(i) <- i * i);
+      let fill f =
+        Pool.parallel_chunks pool ~n ~body:(fun ~slot:_ ~lo ~hi ->
+            for i = lo to hi - 1 do
+              out.(i) <- f i
+            done)
+      in
+      fill (fun i -> i * i);
       for i = 0 to n - 1 do
         if out.(i) <> i * i then Alcotest.failf "slot %d not written" i
       done;
       (* reuse of the same pool for a second job *)
-      Pool.parallel_for pool ~start:0 ~stop:n ~body:(fun i -> out.(i) <- i);
+      fill Fun.id;
       check Alcotest.int "second job" 999 out.(n - 1))
 
 let test_pool_map_order () =
@@ -242,22 +248,15 @@ let test_pool_map_order () =
             seq got))
     [ 1; 2; 4 ]
 
-let test_pool_map_reduce () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let a = Array.init 100 (fun i -> i + 1) in
-      let total =
-        Pool.map_reduce pool ~map:(fun x -> x * x)
-          ~reduce:(fun acc x -> acc + x)
-          ~init:0 a
-      in
-      check Alcotest.int "sum of squares" 338350 total)
+(* A [parallel_chunks] body that raises [Failure msg] on the chunk holding
+   index [at] of [0, n). *)
+let chunks_failing_at pool ~n ~at msg =
+  Pool.parallel_chunks pool ~n ~body:(fun ~slot:_ ~lo ~hi ->
+      if lo <= at && at < hi then failwith msg)
 
 let test_pool_exception_propagates () =
   Pool.with_pool ~jobs:2 (fun pool ->
-      match
-        Pool.parallel_for pool ~start:0 ~stop:8 ~body:(fun i ->
-            if i = 5 then failwith "boom")
-      with
+      match chunks_failing_at pool ~n:1000 ~at:500 "boom" with
       | () -> Alcotest.fail "expected exception"
       | exception Failure msg -> check Alcotest.string "message" "boom" msg);
   (* pool stays usable after shutdown of the failed one: fresh pool runs *)
@@ -269,10 +268,7 @@ let test_pool_exception_no_deadlock_and_reusable () =
   (* a raising body must neither hang run_job nor poison the SAME pool for
      subsequent jobs *)
   Pool.with_pool ~jobs:2 (fun pool ->
-      (match
-         Pool.parallel_for pool ~start:0 ~stop:64 ~body:(fun i ->
-             if i = 17 then failwith "chunk boom")
-       with
+      (match chunks_failing_at pool ~n:1000 ~at:517 "chunk boom" with
       | () -> Alcotest.fail "expected exception"
       | exception Failure msg -> check Alcotest.string "message" "chunk boom" msg);
       (* the same pool instance accepts and completes the next job *)
@@ -284,30 +280,30 @@ let test_pool_exception_no_deadlock_and_reusable () =
       | _ -> Alcotest.fail "expected Exit"
       | exception Exit -> ());
       let total =
-        Pool.map_reduce pool ~map:Fun.id ~reduce:( + ) ~init:0
-          (Array.init 10 succ)
+        Array.fold_left ( + ) 0 (Pool.map pool Fun.id (Array.init 10 succ))
       in
-      check Alcotest.int "map_reduce after failures" 55 total)
+      check Alcotest.int "map after failures" 55 total)
 
 let test_pool_cancellation_skips_chunks () =
-  (* once a body raises, the cancellation flag stops remaining chunks: with
-     chunk size forced to 1 by a tiny range-per-chunk, far fewer than [stop]
-     iterations execute *)
+  (* once the first chunk raises, the cancellation flag stops the others:
+     far fewer than the 64 chunks of [0, 100_000) execute, though every
+     chunk but the first would run to completion *)
   Pool.with_pool ~jobs:4 (fun pool ->
       let executed = Atomic.make 0 in
-      let stop = 100_000 in
+      let n = 100_000 in
+      let nchunks = Array.length (Pool.chunk_bounds ~n) in
       (match
-         Pool.parallel_for pool ~start:0 ~stop ~body:(fun _ ->
+         Pool.parallel_chunks pool ~n ~body:(fun ~slot:_ ~lo ~hi:_ ->
              ignore (Atomic.fetch_and_add executed 1);
-             failwith "cancel now")
+             if lo = 0 then failwith "cancel now" else Unix.sleepf 0.001)
        with
       | () -> Alcotest.fail "expected exception"
       | exception Failure _ -> ());
       let ran = Atomic.get executed in
       check Alcotest.bool
-        (Printf.sprintf "executed %d of %d" ran stop)
+        (Printf.sprintf "executed %d of %d chunks" ran nchunks)
         true
-        (ran < stop / 2))
+        (ran < nchunks / 2))
 
 module Deadline = Mlpart_util.Deadline
 
@@ -416,32 +412,6 @@ let test_pool_chunk_bounds_jobs_invariant () =
         (test_jobs_list ()))
     [ 1; 63; 64; 65; 1000; 4097; 100_000 ]
 
-let test_pool_parallel_scan_matches_sequential () =
-  let n = 10_000 in
-  let src = Array.init n (fun i -> (i * 31) mod 97) in
-  let expected = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    expected.(i + 1) <- expected.(i) + src.(i)
-  done;
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let dst = Array.make (n + 1) (-1) in
-          let total = Pool.parallel_scan pool ~n ~src ~dst in
-          check Alcotest.int (Printf.sprintf "total jobs=%d" jobs) expected.(n)
-            total;
-          check
-            Alcotest.(array int)
-            (Printf.sprintf "prefix sums jobs=%d" jobs)
-            expected dst))
-    (test_jobs_list ());
-  (* empty scan *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let dst = Array.make 1 5 in
-      check Alcotest.int "empty total" 0
-        (Pool.parallel_scan pool ~n:0 ~src:[||] ~dst);
-      check Alcotest.int "empty dst" 0 dst.(0))
-
 let test_pool_parallel_chunks_slots () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let n = 50_000 in
@@ -463,8 +433,7 @@ let test_pool_sequential_fallback () =
   Pool.with_pool ~jobs:1 (fun pool ->
       check Alcotest.int "size 1" 1 (Pool.size pool);
       let out = Pool.map pool (fun x -> 2 * x) [| 3; 4 |] in
-      check Alcotest.(array int) "sequential map" [| 6; 8 |] out);
-  check Alcotest.bool "recommended >= 1" true (Pool.recommended_jobs () >= 1)
+      check Alcotest.(array int) "sequential map" [| 6; 8 |] out)
 
 (* ---- Heapsort ----
 
@@ -586,9 +555,8 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "parallel_for" `Quick test_pool_parallel_for;
+          Alcotest.test_case "reuse" `Quick test_pool_reuse;
           Alcotest.test_case "map order" `Quick test_pool_map_order;
-          Alcotest.test_case "map_reduce" `Quick test_pool_map_reduce;
           Alcotest.test_case "exception propagates" `Quick
             test_pool_exception_propagates;
           Alcotest.test_case "exception no deadlock, pool reusable" `Quick
@@ -599,8 +567,6 @@ let () =
             test_pool_sequential_fallback;
           Alcotest.test_case "chunk bounds jobs-invariant" `Quick
             test_pool_chunk_bounds_jobs_invariant;
-          Alcotest.test_case "parallel_scan matches sequential" `Quick
-            test_pool_parallel_scan_matches_sequential;
           Alcotest.test_case "parallel_chunks covers once" `Quick
             test_pool_parallel_chunks_slots;
         ] );
