@@ -9,16 +9,6 @@
     substituted by the highest-degree modules, pinned at deterministic
     positions on the boundary of the unit die (see DESIGN.md §2). *)
 
-type config = {
-  num_pads : int option;
-      (** pads to pre-place; default [None] = [max 16 (n / 100)] *)
-}
-
-val default : config
-(** Default pad count.  Nets use {!Quadratic.build}'s net model, and each
-    axis is solved to a relative residual of 1e-7 or 500 conjugate-gradient
-    iterations. *)
-
 type result = {
   side : int array;  (** quadrant of each module, in [0 .. 3] *)
   cut : int;  (** nets spanning at least two quadrants *)
@@ -28,9 +18,18 @@ type result = {
   pads : int array;  (** modules that were pre-placed *)
 }
 
-val run : ?config:config -> Mlpart_hypergraph.Hypergraph.t -> result
-(** Deterministic: no RNG — the analytic placement and median splits have a
-    single outcome, as with the real tool. *)
+val pads : Mlpart_hypergraph.Hypergraph.t -> (int * float * float) array
+(** [pads h] chooses the pad stand-ins and places them: the [max 16 (n /
+    100)] highest-degree modules (all [n] when fewer, ties to the lower
+    id), as [(module, x, y)] spread in that order around the boundary of
+    the unit die.  Fixed before any solve, so {!Topdown} reads them without
+    running GORDIAN. *)
+
+val run : Mlpart_hypergraph.Hypergraph.t -> result
+(** Pins {!pads}, then solves each axis with {!Quadratic.build}'s net
+    model to a relative residual of 1e-7 or 500 conjugate-gradient
+    iterations.  Deterministic: no RNG — the analytic placement and median
+    splits have a single outcome, as with the real tool. *)
 
 val quadrants_of_placement :
   Mlpart_hypergraph.Hypergraph.t -> x:float array -> y:float array -> int array

@@ -1,5 +1,12 @@
 module H = Mlpart_hypergraph.Hypergraph
 
+type laplacian = {
+  diag : float array;
+  row_offsets : int array;
+  col : int array;
+  weight : float array;
+}
+
 type t = {
   n : int;
   nfree : int;
@@ -7,17 +14,13 @@ type t = {
   free_modules : int array; (* dense free index -> module *)
   position : float array; (* fixed coordinates; 0 for free *)
   is_fixed : bool array;
-  (* CSR over free modules: off-diagonal free-free couplings *)
-  row_offsets : int array;
-  col : int array;
-  weight : float array;
-  diag : float array; (* per free module *)
+  lap : laplacian; (* over free modules: free-free couplings only *)
   rhs : float array; (* per free module *)
 }
 
 (* Expand a hypergraph into weighted 2-pin edges: clique model for small
    nets (weight 2w/|e| per pair), chain model for large ones. *)
-let edges_of ?(clique_limit = 32) h =
+let edges_of ~clique_limit h =
   let edges = ref [] in
   for e = 0 to H.num_nets h - 1 do
     let pins = H.pins_of h e in
@@ -38,10 +41,10 @@ let edges_of ?(clique_limit = 32) h =
   done;
   !edges
 
-let net_model_edges ?clique_limit h = edges_of ?clique_limit h
-
-let build ?(clique_limit = 32) h ~fixed =
-  if fixed = [] then invalid_arg "Quadratic.build: no fixed modules";
+(* The one CSR assembly.  Off-diagonal entries and diagonal sums
+   accumulate in edge order, so a row's diagonal is the left-to-right sum
+   of its off-diagonal weights plus its edges to fixed modules. *)
+let assemble ?(clique_limit = 32) h ~fixed =
   let n = H.num_modules h in
   let is_fixed = Array.make n false in
   let position = Array.make n 0.0 in
@@ -102,16 +105,32 @@ let build ?(clique_limit = 32) h ~fixed =
       if fa >= 0 then diag.(fa) <- diag.(fa) +. w;
       if fb >= 0 then diag.(fb) <- diag.(fb) +. w)
     edges;
-  { n; nfree = nf; free_index; free_modules; position; is_fixed; row_offsets;
-    col; weight; diag; rhs }
+  { n; nfree = nf; free_index; free_modules; position; is_fixed;
+    lap = { diag; row_offsets; col; weight }; rhs }
+
+let build ?clique_limit h ~fixed =
+  if fixed = [] then invalid_arg "Quadratic.build: no fixed modules";
+  assemble ?clique_limit h ~fixed
+
+let laplacian h = (assemble h ~fixed:[]).lap
+
+(* The prefix ends at the first module whose preceding area reaches half
+   the total. *)
+let median_split h order =
+  let total = Array.fold_left (fun acc v -> acc + H.area h v) 0 order in
+  let rec prefix i acc =
+    if i = Array.length order || 2 * acc >= total then i
+    else prefix (i + 1) (acc + H.area h order.(i))
+  in
+  prefix 0 0
 
 (* y = A x where A = diag - offdiag couplings (the reduced Laplacian). *)
-let matvec t x y =
+let matvec { diag; row_offsets; col; weight } x y =
   let nf = Array.length x in
   for i = 0 to nf - 1 do
-    let acc = ref (t.diag.(i) *. x.(i)) in
-    for s = t.row_offsets.(i) to t.row_offsets.(i + 1) - 1 do
-      acc := !acc -. (t.weight.(s) *. x.(t.col.(s)))
+    let acc = ref (diag.(i) *. x.(i)) in
+    for s = row_offsets.(i) to row_offsets.(i + 1) - 1 do
+      acc := !acc -. (weight.(s) *. x.(col.(s)))
     done;
     y.(i) <- !acc
   done
@@ -134,7 +153,8 @@ let solve ?(tol = 1e-7) ?(max_iter = 1000) t =
     let ap = Array.make nfree 0.0 in
     let precond () =
       for i = 0 to nfree - 1 do
-        z.(i) <- (if t.diag.(i) > 0.0 then r.(i) /. t.diag.(i) else r.(i))
+        let d = t.lap.diag.(i) in
+        z.(i) <- (if d > 0.0 then r.(i) /. d else r.(i))
       done
     in
     precond ();
@@ -146,7 +166,7 @@ let solve ?(tol = 1e-7) ?(max_iter = 1000) t =
     let finished = ref (sqrt (dot r r) <= threshold) in
     while (not !finished) && !iter < max_iter do
       incr iter;
-      matvec t p ap;
+      matvec t.lap p ap;
       let denom = dot p ap in
       if denom <= 0.0 then finished := true
       else begin
@@ -180,7 +200,7 @@ let residual t solution =
   else begin
     let x = Array.init nfree (fun i -> solution.(t.free_modules.(i))) in
     let ax = Array.make nfree 0.0 in
-    matvec t x ax;
+    matvec t.lap x ax;
     let acc = ref 0.0 in
     for i = 0 to nfree - 1 do
       let d = ax.(i) -. t.rhs.(i) in

@@ -13,52 +13,13 @@ type result = {
   iterations_used : int;
 }
 
-(* CSR Laplacian: diag and symmetric off-diagonal entries. *)
-type laplacian = {
-  diag : float array;
-  row_offsets : int array;
-  col : int array;
-  weight : float array;
-}
-
-let build_laplacian h =
-  let n = H.num_modules h in
-  let edges = Quadratic.net_model_edges h in
-  let diag = Array.make n 0.0 in
-  let degree = Array.make n 0 in
-  List.iter
-    (fun (a, b, _) ->
-      degree.(a) <- degree.(a) + 1;
-      degree.(b) <- degree.(b) + 1)
-    edges;
-  let row_offsets = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    row_offsets.(v + 1) <- row_offsets.(v) + degree.(v)
-  done;
-  let nnz = row_offsets.(n) in
-  let col = Array.make (Stdlib.max 1 nnz) 0 in
-  let weight = Array.make (Stdlib.max 1 nnz) 0.0 in
-  let cursor = Array.copy row_offsets in
-  List.iter
-    (fun (a, b, w) ->
-      col.(cursor.(a)) <- b;
-      weight.(cursor.(a)) <- w;
-      cursor.(a) <- cursor.(a) + 1;
-      col.(cursor.(b)) <- a;
-      weight.(cursor.(b)) <- w;
-      cursor.(b) <- cursor.(b) + 1;
-      diag.(a) <- diag.(a) +. w;
-      diag.(b) <- diag.(b) +. w)
-    edges;
-  { diag; row_offsets; col; weight }
-
 let norm x = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x)
 
 (* Shifted power iteration: the dominant eigenvector of (shift I - L)
    restricted to the complement of the constant vector is the Fiedler
    vector.  The start vector is a fixed pseudo-random pattern so runs are
    reproducible. *)
-let fiedler_vector ~iterations ~tol lap n =
+let fiedler_vector ~iterations ~tol (lap : Quadratic.laplacian) n =
   let shift =
     2.0 *. Array.fold_left Stdlib.max 1.0 lap.diag
   in
@@ -103,29 +64,17 @@ let fiedler_vector ~iterations ~tol lap n =
   done;
   (x, !used)
 
-(* [order] lists module ids sorted by Fiedler value; the prefix holding
-   half the total area goes to side 0. *)
-let median_split h order =
-  let total = H.total_area h in
-  let side = Array.make (Array.length order) 1 in
-  let acc = ref 0 in
-  (try
-     Array.iter
-       (fun v ->
-         if 2 * !acc >= total then raise Exit;
-         side.(v) <- 0;
-         acc := !acc + H.area h v)
-       order
-   with Exit -> ());
-  side
-
 let run h =
   let n = H.num_modules h in
-  let lap = build_laplacian h in
+  let lap = Quadratic.laplacian h in
   let fiedler, iterations_used = fiedler_vector ~iterations ~tol lap n in
   let order = Array.init n (fun v -> v) in
   Array.sort
     (fun a b -> compare (fiedler.(a), a) (fiedler.(b), b))
     order;
-  let side = median_split h order in
+  (* the prefix holding half the area goes to side 0 *)
+  let side = Array.make n 1 in
+  for i = 0 to Quadratic.median_split h order - 1 do
+    side.(order.(i)) <- 0
+  done;
   { side; cut = Mlpart_partition.Fm.cut_of h side; fiedler; iterations_used }

@@ -157,20 +157,14 @@ let run ?(config = default) ?deadline rng h =
   in
   let x = Array.make n 0.0 and y = Array.make n 0.0 in
   let placed = Array.make n false in
-  (* Pre-place pads on the boundary as in the GORDIAN baseline: 1% of the
-     modules, at least 16, stand in for the missing pad lists. *)
-  let pad_count = Stdlib.min n (Stdlib.max 16 (n / 100)) in
-  let gpads =
-    (* reuse Gordian's pad selection and boundary layout *)
-    let r = Gordian.run ~config:{ Gordian.num_pads = Some pad_count } h in
-    Array.map (fun p -> (p, r.Gordian.x.(p), r.Gordian.y.(p))) r.Gordian.pads
-  in
+  (* Pre-place the GORDIAN baseline's pads on the boundary. *)
+  let pads = Gordian.pads h in
   Array.iter
     (fun (p, px, py) ->
       x.(p) <- px;
       y.(p) <- py;
       placed.(p) <- true)
-    gpads;
+    pads;
   let movable =
     Array.of_list
       (List.filter (fun v -> not placed.(v)) (List.init n Fun.id))
@@ -242,7 +236,8 @@ let run ?(config = default) ?deadline rng h =
         place_leaf x y region members
       else
         for q = 0 to 3 do
-          refine (depth + 1) (quadrant_region region q) (Array.of_list buckets.(q))
+          refine (depth + 1) (quadrant_region region q)
+            (Array.of_list buckets.(q))
         done
     end
   in
@@ -252,6 +247,6 @@ let run ?(config = default) ?deadline rng h =
     y;
     hpwl = Quadratic.hpwl h ~x ~y;
     regions = !regions;
-    pads = Array.map (fun (p, _, _) -> p) gpads;
+    pads = Array.map (fun (p, _, _) -> p) pads;
     timed_out = !timed_out;
   }

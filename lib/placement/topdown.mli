@@ -28,8 +28,7 @@ type config = {
 
 val default : config
 (** Terminal propagation on, MLf quadrisection as in Table IX.  The pads
-    are {!Gordian.default}'s: the [max 16 (n / 100)] highest-degree
-    modules. *)
+    are {!Gordian.pads}: the [max 16 (n / 100)] highest-degree modules. *)
 
 type result = {
   x : float array;

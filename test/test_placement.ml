@@ -89,6 +89,42 @@ let test_hpwl () =
   let x = [| 0.0; 1.0; 0.5 |] and y = [| 0.0; 0.0; 2.0 |] in
   close "hpwl" (2.0 *. (1.0 +. 2.0)) (Q.hpwl h ~x ~y)
 
+let test_laplacian_symmetric () =
+  (* weighted nets, plus one net above the 32-pin clique limit so the chain
+     model contributes too *)
+  let rng = Rng.create 9 in
+  let base =
+    Mlpart_gen.Generate.rent ~rng ~modules:120 ~nets:150 ~pins:420 ()
+  in
+  let n = H.num_modules base in
+  let nets =
+    Array.append
+      (Array.init (H.num_nets base) (fun e ->
+           (H.pins_of base e, 1 + Rng.int rng 3)))
+      [| (Array.init 40 Fun.id, 2) |]
+  in
+  let lap = Q.laplacian (H.make ~areas:(Array.make n 1) ~nets ()) in
+  check Alcotest.int "one row per module" (n + 1)
+    (Array.length lap.Q.row_offsets);
+  let entry = Hashtbl.create 1024 in
+  for i = 0 to n - 1 do
+    let sum = ref 0.0 in
+    for s = lap.Q.row_offsets.(i) to lap.Q.row_offsets.(i + 1) - 1 do
+      let j = lap.Q.col.(s) and w = lap.Q.weight.(s) in
+      sum := !sum +. w;
+      Hashtbl.replace entry (i, j)
+        (w +. Option.value ~default:0.0 (Hashtbl.find_opt entry (i, j)))
+    done;
+    (* both sums run in edge order, so they agree to the last bit *)
+    if !sum <> lap.Q.diag.(i) then
+      Alcotest.failf "row %d: diagonal %h, weight sum %h" i lap.Q.diag.(i) !sum
+  done;
+  Hashtbl.iter
+    (fun (i, j) w ->
+      if Hashtbl.find_opt entry (j, i) <> Some w then
+        Alcotest.failf "entry (%d, %d) = %h has no equal mirror" i j w)
+    entry
+
 let prop_cg_residual_small =
   QCheck.Test.make ~name:"CG residual below tolerance on random instances"
     ~count:25 QCheck.small_int (fun seed ->
@@ -152,9 +188,19 @@ let test_gordian_pads_on_boundary () =
     r.G.pads
 
 let test_gordian_pad_count_option () =
+  (* the run pins exactly the modules [G.pads] chooses, where it puts them *)
   let h = gordian_instance 5 in
-  let r = G.run ~config:{ G.num_pads = Some 7 } h in
-  check Alcotest.int "pad count honoured" 7 (Array.length r.G.pads)
+  let pads = G.pads h in
+  check Alcotest.int "max 16 (n / 100) pads" 16 (Array.length pads);
+  let r = G.run h in
+  check Alcotest.(array int) "pinned modules"
+    (Array.map (fun (v, _, _) -> v) pads)
+    r.G.pads;
+  Array.iter
+    (fun (v, px, py) ->
+      check (Alcotest.float 0.0) "pad x" px r.G.x.(v);
+      check (Alcotest.float 0.0) "pad y" py r.G.y.(v))
+    pads
 
 let test_gordian_beaten_by_ml () =
   (* The paper's Table IX claim: ML quadrisection beats the analytic
@@ -285,7 +331,8 @@ let test_topdown_leaf_one_terminates () =
   let module Deadline = Mlpart_util.Deadline in
   let h = Mlpart_gen.Suite.instantiate ~seed:1 (Mlpart_gen.Suite.find "balu") in
   let config = { T.default with T.leaf_size = 1 } in
-  let r = T.run ~config ~deadline:(Deadline.make ~seconds:10.0) (Rng.create 1) h in
+  let deadline = Deadline.make ~seconds:10.0 in
+  let r = T.run ~config ~deadline (Rng.create 1) h in
   check Alcotest.bool "not timed out" false r.T.timed_out;
   check Alcotest.bool
     (Printf.sprintf "%d quadrisection calls for %d modules" r.T.regions
@@ -375,6 +422,8 @@ let () =
           Alcotest.test_case "chain model" `Quick test_chain_model_large_net;
           Alcotest.test_case "weighted pull" `Quick test_weighted_net_pulls_harder;
           Alcotest.test_case "hpwl" `Quick test_hpwl;
+          Alcotest.test_case "laplacian symmetric, diagonal is row sum" `Quick
+            test_laplacian_symmetric;
           qtest prop_cg_residual_small;
           qtest prop_solution_within_pad_hull;
         ] );
