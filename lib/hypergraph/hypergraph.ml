@@ -177,52 +177,6 @@ let make_csr ?(name = "") ~areas ~net_offsets ~net_pins ~net_weights () =
     max_area = !max_area;
   }
 
-(* Construction.  [nets] is validated: each net needs >= 2 distinct in-range
-   pins; then both CSR directions are materialised. *)
-let make ?(name = "") ~areas ~nets () =
-  let n = Array.length areas in
-  Array.iteri
-    (fun v a ->
-      if a <= 0 then
-        invalid_arg (Printf.sprintf "Hypergraph.make: area of module %d is %d" v a))
-    areas;
-  let seen = Array.make n (-1) in
-  Array.iteri
-    (fun e (pins, w) ->
-      if w <= 0 then
-        invalid_arg (Printf.sprintf "Hypergraph.make: net %d has weight %d" e w);
-      if Array.length pins < 2 then
-        invalid_arg (Printf.sprintf "Hypergraph.make: net %d has < 2 pins" e);
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg
-              (Printf.sprintf "Hypergraph.make: net %d pin %d out of range" e v);
-          if seen.(v) = e then
-            invalid_arg
-              (Printf.sprintf "Hypergraph.make: net %d repeats pin %d" e v);
-          seen.(v) <- e)
-        pins)
-    nets;
-  (* The sentinel array [seen] uses net ids as marks, so reset is implicit;
-     but net id 0 collides with the initial -1? No: marks store e >= 0 and
-     initial value is -1, and within net e we only compare against e. *)
-  let m = Array.length nets in
-  let net_offsets = Array.make (m + 1) 0 in
-  for e = 0 to m - 1 do
-    let pins, _ = nets.(e) in
-    net_offsets.(e + 1) <- net_offsets.(e) + Array.length pins
-  done;
-  let total_pins = net_offsets.(m) in
-  let net_pins = Array.make total_pins 0 in
-  let net_weights = Array.make m 0 in
-  for e = 0 to m - 1 do
-    let pins, w = nets.(e) in
-    net_weights.(e) <- w;
-    Array.blit pins 0 net_pins net_offsets.(e) (Array.length pins)
-  done;
-  make_csr ~name ~areas ~net_offsets ~net_pins ~net_weights ()
-
 (* Unvalidated construction for ingestion and repair: the CSR is built
    as-is, so duplicate pins, sub-2-pin nets and non-positive areas/weights
    survive into the value.  Pins must still be in [0, n) — the counting
@@ -230,13 +184,13 @@ let make ?(name = "") ~areas ~nets () =
    [validate]/[repair] before reaching an engine. *)
 let make_unchecked ?(name = "") ~areas ~nets () =
   let n = Array.length areas in
-  Array.iter
-    (fun (pins, _) ->
+  Array.iteri
+    (fun e (pins, _) ->
       Array.iter
         (fun v ->
           if v < 0 || v >= n then
             invalid_arg
-              (Printf.sprintf "Hypergraph.make_unchecked: pin %d out of range" v))
+              (Printf.sprintf "Hypergraph: net %d pin %d out of range" e v))
         pins)
     nets;
   let m = Array.length nets in
@@ -287,6 +241,14 @@ let validate t =
              "net %d has a single distinct pin" e)
   done;
   match List.rev !diags with [] -> Ok () | ds -> Error ds
+
+(* Validated construction: the unchecked build, then the first [validate]
+   violation, if any, raised. *)
+let make ?name ~areas ~nets () =
+  let t = make_unchecked ?name ~areas ~nets () in
+  match validate t with
+  | Ok () -> t
+  | Error ds -> invalid_arg ("Hypergraph.make: " ^ (List.hd ds).Diag.message)
 
 type repair_report = {
   dropped_nets : int;

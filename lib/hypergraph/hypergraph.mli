@@ -125,10 +125,11 @@ val make :
   unit ->
   t
 (** [make ~areas ~nets ()] builds a hypergraph with [Array.length areas]
-    modules.  Each element of [nets] is [(pins, weight)].  Raises
-    [Invalid_argument] if any net has fewer than two distinct pins, a pin is
-    out of range or repeated within a net, an area is non-positive, or a
-    weight is non-positive. *)
+    modules.  Each element of [nets] is [(pins, weight)].  It is
+    {!make_unchecked} followed by {!validate}: raises [Invalid_argument]
+    naming the first violation if a pin is out of range, an area or weight
+    is non-positive, or a net repeats a pin or has fewer than two distinct
+    pins. *)
 
 val make_unchecked :
   ?name:string ->
