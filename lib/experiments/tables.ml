@@ -28,128 +28,94 @@ let table1 p =
     "Published counts vs the synthetic instantiation used throughout.";
   Format.printf "%a@?" Suite.pp_table1 (circuits p)
 
-(* Shared skeleton: run a list of bipartitioners over the tier and render
-   one measured row per circuit next to the paper's reference cells. *)
+(* Measure each algorithm on one circuit, in list order. *)
 let run_row p h algos =
   List.map
     (fun algo -> Report.measure ~jobs:p.jobs ~runs:p.runs ~seed:p.seed h algo)
     algos
 
-let table2 p =
-  banner "Table II: FM bucket tie-breaking schemes (LIFO / FIFO / RND)"
-    (protocol_note p);
-  let rows =
-    List.map
-      (fun spec ->
-        let h = Suite.instantiate ~seed:p.seed spec in
-        let ms =
-          run_row p h [ Algos.flat_fm; Algos.flat_fm_fifo; Algos.flat_fm_random ]
-        in
-        let paper = Paper.table2 spec.Suite.circuit in
-        let pcell f = match paper with None -> "-" | Some row -> f row in
-        match ms with
-        | [ l; ff; r ] ->
-            [
-              spec.Suite.circuit;
-              i l.Report.min_cut; i ff.Report.min_cut; i r.Report.min_cut;
-              f1 l.Report.avg_cut; f1 ff.Report.avg_cut; f1 r.Report.avg_cut;
-              pcell (fun { Paper.t2_min = a, b, c; _ } ->
-                  Printf.sprintf "%d/%d/%d" a b c);
-              pcell (fun { Paper.t2_avg = a, b, c; _ } ->
-                  Printf.sprintf "%d/%d/%d" a b c);
-            ]
-        | _ -> assert false)
-      (circuits p)
-  in
-  Tab.print
-    ~header:
-      [ "circuit"; "minL"; "minF"; "minR"; "avgL"; "avgF"; "avgR";
-        "paper min L/F/R"; "paper avg L/F/R" ]
-    rows
-
-let table3 p =
-  banner "Table III: FM vs CLIP" (protocol_note p);
-  let rows =
-    List.map
-      (fun spec ->
-        let h = Suite.instantiate ~seed:p.seed spec in
-        match run_row p h [ Algos.flat_fm; Algos.flat_clip ] with
-        | [ fm; cl ] ->
-            let paper = Paper.table3 spec.Suite.circuit in
-            let pcell f = match paper with None -> "-" | Some row -> f row in
-            [
-              spec.Suite.circuit;
-              i fm.Report.min_cut; i cl.Report.min_cut;
-              f1 fm.Report.avg_cut; f1 cl.Report.avg_cut;
-              Tab.ff2 fm.Report.cpu; Tab.ff2 cl.Report.cpu;
-              pcell (fun { Paper.t3_min = a, b; _ } -> Printf.sprintf "%d/%d" a b);
-              pcell (fun { Paper.t3_avg = a, b; _ } -> Printf.sprintf "%d/%d" a b);
-            ]
-        | _ -> assert false)
-      (circuits p)
-  in
-  Tab.print
-    ~header:
-      [ "circuit"; "minFM"; "minCLIP"; "avgFM"; "avgCLIP"; "cpuFM"; "cpuCLIP";
-        "paper min"; "paper avg" ]
-    rows
-
-let table4 p =
-  banner "Table IV: CLIP vs MLf vs MLc (R = 1)" (protocol_note p);
-  let rows =
-    List.map
-      (fun spec ->
-        let h = Suite.instantiate ~seed:p.seed spec in
-        match run_row p h [ Algos.flat_clip; Algos.mlf 1.0; Algos.mlc 1.0 ] with
-        | [ cl; mf; mc ] ->
-            let paper = Paper.table4 spec.Suite.circuit in
-            let pcell f = match paper with None -> "-" | Some row -> f row in
-            [
-              spec.Suite.circuit;
-              i cl.Report.min_cut; i mf.Report.min_cut; i mc.Report.min_cut;
-              f1 cl.Report.avg_cut; f1 mf.Report.avg_cut; f1 mc.Report.avg_cut;
-              Tab.ff2 cl.Report.cpu; Tab.ff2 mf.Report.cpu; Tab.ff2 mc.Report.cpu;
-              pcell (fun { Paper.t4_min = a, b, c; _ } ->
-                  Printf.sprintf "%d/%d/%d" a b c);
-              pcell (fun { Paper.t4_avg = a, b, c; _ } ->
-                  Printf.sprintf "%d/%d/%d" a b c);
-            ]
-        | _ -> assert false)
-      (circuits p)
-  in
-  Tab.print
-    ~header:
-      [ "circuit"; "minCLIP"; "minMLf"; "minMLc"; "avgCLIP"; "avgMLf"; "avgMLc";
-        "cpuCLIP"; "cpuMLf"; "cpuMLc"; "paper min C/F/C"; "paper avg C/F/C" ]
-    rows
-
-let ratio_table p ~title ~mk_algo ~paper_lookup =
+(* The layout of Tables II-VI: per circuit, each algorithm's min cut, then
+   its average cut, then (with [cpu]) its CPU seconds, then the paper's min
+   and average cells ("a/b/c" across the algorithms, "-" when the paper
+   leaves the circuit out).  [columns] pairs each algorithm with the label
+   its header cells carry; [paper] gives the published mins and averages. *)
+let comparison_table p ~title ~columns ~cpu ~paper_label ~paper =
   banner title (protocol_note p);
-  let ratios = [ 1.0; 0.5; 0.33 ] in
+  let slashed vs = String.concat "/" (List.map i vs) in
   let rows =
     List.map
       (fun spec ->
         let h = Suite.instantiate ~seed:p.seed spec in
-        let ms = run_row p h (List.map mk_algo ratios) in
-        let paper = paper_lookup spec.Suite.circuit in
-        let pcell f = match paper with None -> "-" | Some row -> f row in
+        let ms = run_row p h (List.map snd columns) in
+        let paper_min, paper_avg =
+          match paper spec.Suite.circuit with
+          | None -> ("-", "-")
+          | Some (mins, avgs) -> (slashed mins, slashed avgs)
+        in
         spec.Suite.circuit
         :: List.map (fun m -> i m.Report.min_cut) ms
         @ List.map (fun m -> f1 m.Report.avg_cut) ms
-        @ List.map (fun m -> Tab.ff2 m.Report.cpu) ms
-        @ [
-            pcell (fun { Paper.r_min = a, b, c; _ } ->
-                Printf.sprintf "%d/%d/%d" a b c);
-            pcell (fun { Paper.r_avg = a, b, c; _ } ->
-                Printf.sprintf "%d/%d/%d" a b c);
-          ])
+        @ (if cpu then List.map (fun m -> Tab.ff2 m.Report.cpu) ms else [])
+        @ [ paper_min; paper_avg ])
       (circuits p)
   in
+  let heads prefix = List.map (fun (label, _) -> prefix ^ label) columns in
   Tab.print
     ~header:
-      [ "circuit"; "min1.0"; "min0.5"; "min.33"; "avg1.0"; "avg0.5"; "avg.33";
-        "cpu1.0"; "cpu0.5"; "cpu.33"; "paper min"; "paper avg" ]
+      ("circuit" :: heads "min" @ heads "avg"
+      @ (if cpu then heads "cpu" else [])
+      @ [ "paper min" ^ paper_label; "paper avg" ^ paper_label ])
     rows
+
+let triple (a, b, c) = [ a; b; c ]
+
+let table2 p =
+  comparison_table p
+    ~title:"Table II: FM bucket tie-breaking schemes (LIFO / FIFO / RND)"
+    ~columns:
+      [
+        ("L", Algos.flat_fm);
+        ("F", Algos.flat_fm_fifo);
+        ("R", Algos.flat_fm_random);
+      ]
+    ~cpu:false ~paper_label:" L/F/R"
+    ~paper:(fun c ->
+      Option.map
+        (fun { Paper.t2_min; t2_avg } -> (triple t2_min, triple t2_avg))
+        (Paper.table2 c))
+
+let table3 p =
+  comparison_table p ~title:"Table III: FM vs CLIP"
+    ~columns:[ ("FM", Algos.flat_fm); ("CLIP", Algos.flat_clip) ]
+    ~cpu:true ~paper_label:""
+    ~paper:(fun circuit ->
+      Option.map
+        (fun { Paper.t3_min = a, b; t3_avg = c, d; _ } -> ([ a; b ], [ c; d ]))
+        (Paper.table3 circuit))
+
+let table4 p =
+  comparison_table p ~title:"Table IV: CLIP vs MLf vs MLc (R = 1)"
+    ~columns:
+      [
+        ("CLIP", Algos.flat_clip);
+        ("MLf", Algos.mlf 1.0);
+        ("MLc", Algos.mlc 1.0);
+      ]
+    ~cpu:true ~paper_label:" C/F/C"
+    ~paper:(fun c ->
+      Option.map
+        (fun { Paper.t4_min; t4_avg; _ } -> (triple t4_min, triple t4_avg))
+        (Paper.table4 c))
+
+let ratio_table p ~title ~mk_algo ~paper_lookup =
+  comparison_table p ~title
+    ~columns:
+      [ ("1.0", mk_algo 1.0); ("0.5", mk_algo 0.5); (".33", mk_algo 0.33) ]
+    ~cpu:true ~paper_label:""
+    ~paper:(fun c ->
+      Option.map
+        (fun { Paper.r_min; r_avg; _ } -> (triple r_min, triple r_avg))
+        (paper_lookup c))
 
 let table5 p =
   ratio_table p ~title:"Table V: MLf under matching ratios R = 1.0 / 0.5 / 0.33"
