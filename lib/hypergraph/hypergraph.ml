@@ -184,15 +184,6 @@ let make_csr ?(name = "") ~areas ~net_offsets ~net_pins ~net_weights () =
    [validate]/[repair] before reaching an engine. *)
 let make_unchecked ?(name = "") ~areas ~nets () =
   let n = Array.length areas in
-  Array.iteri
-    (fun e (pins, _) ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg
-              (Printf.sprintf "Hypergraph: net %d pin %d out of range" e v))
-        pins)
-    nets;
   let m = Array.length nets in
   let net_offsets = Array.make (m + 1) 0 in
   for e = 0 to m - 1 do
@@ -204,7 +195,14 @@ let make_unchecked ?(name = "") ~areas ~nets () =
   for e = 0 to m - 1 do
     let pins, w = nets.(e) in
     net_weights.(e) <- w;
-    Array.blit pins 0 net_pins net_offsets.(e) (Array.length pins)
+    let base = net_offsets.(e) in
+    for i = 0 to Array.length pins - 1 do
+      let v = pins.(i) in
+      if v < 0 || v >= n then
+        invalid_arg
+          (Printf.sprintf "Hypergraph: net %d pin %d out of range" e v);
+      net_pins.(base + i) <- v
+    done
   done;
   make_csr ~name ~areas ~net_offsets ~net_pins ~net_weights ()
 
@@ -228,13 +226,15 @@ let validate t =
       add (Diag.error ~source Diag.Bad_weight "net %d has weight %d" e
              t.net_weights.(e));
     let distinct = ref 0 in
-    iter_pins_of t e (fun v ->
-        if seen.(v) = e then
-          add (Diag.error ~source Diag.Duplicate_pin "net %d repeats pin %d" e v)
-        else begin
-          seen.(v) <- e;
-          incr distinct
-        end);
+    for i = t.net_offsets.(e) to t.net_offsets.(e + 1) - 1 do
+      let v = t.net_pins.(i) in
+      if seen.(v) = e then
+        add (Diag.error ~source Diag.Duplicate_pin "net %d repeats pin %d" e v)
+      else begin
+        seen.(v) <- e;
+        incr distinct
+      end
+    done;
     if !distinct = 0 then add (Diag.error ~source Diag.Empty_net "net %d is empty" e)
     else if !distinct < 2 then
       add (Diag.error ~source Diag.Singleton_net

@@ -41,9 +41,9 @@ let edges_of ~clique_limit h =
   done;
   !edges
 
-(* The one CSR assembly.  Off-diagonal entries and diagonal sums
-   accumulate in edge order, so a row's diagonal is the left-to-right sum
-   of its off-diagonal weights plus its edges to fixed modules. *)
+(* The one CSR assembly.  Each edge writes its off-diagonal entries and
+   adds to the diagonal in edge order, so with no module fixed a row's
+   diagonal is the left-to-right sum of its entries, bit for bit. *)
 let assemble ?(clique_limit = 32) h ~fixed =
   let n = H.num_modules h in
   let is_fixed = Array.make n false in
