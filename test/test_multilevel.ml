@@ -818,6 +818,90 @@ let test_nlevel_rejects_bad_k () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* A 260-module Rent netlist plus nets of 205, 220 and 260 pins: deep
+   contraction shrinks them, so the replay grows nets back past
+   [Refine_core.net_threshold]. *)
+let big_net_instance rng =
+  let h = random_instance ~modules:260 (Rng.int rng 100_000) in
+  let n = H.num_modules h in
+  let big size =
+    let perm = Array.init n Fun.id in
+    Rng.shuffle_in_place rng perm;
+    (Array.sub perm 0 size, 1 + Rng.int rng 3)
+  in
+  H.make ~areas:(Array.init n (H.area h))
+    ~nets:
+      (Array.append
+         (Array.init (H.num_nets h) (fun e -> (H.pins_of h e, H.net_weight h e)))
+         [| big 205; big 220; big 260 |])
+    ()
+
+(* The gain cache stays exact through uncontraction: contract as deep as
+   the rating allows, put the coarse modules in random parts, and replay
+   the trail one step at a time with a cache riding along.  After every
+   step, each alive module's cached gain to every other part equals a
+   sweep of its nets, and the cached cut equals both the cache's span
+   recount and a recount over the live pins. *)
+let prop_nlevel_cache_through_uncontraction =
+  QCheck.Test.make ~name:"cache exact through uncontraction" ~count:40
+    QCheck.small_int (fun seed ->
+      let module Gc = Mlpart_partition.Gain_cache in
+      let rng = Rng.create (seed + 9000) in
+      let h =
+        if seed mod 5 = 0 then big_net_instance rng else reference_instance rng
+      in
+      let n = H.num_modules h in
+      let hy = Nlevel.coarsen_only ~threshold:2 (Rng.split rng) h in
+      let k = 2 + Rng.int rng 4 in
+      let members =
+        Array.of_list (List.filter (Nlevel.is_alive hy) (List.init n Fun.id))
+      in
+      let side = Array.make n 0 in
+      Array.iter (fun v -> side.(v) <- Rng.int rng k) members;
+      let g = Nlevel.graph hy in
+      let cache = Gc.create g ~k ~members side in
+      let live_cut () =
+        let total = ref 0 in
+        for e = 0 to Array.length g.Gc.net_size - 1 do
+          let pins = g.Gc.net_pins.(e) in
+          let first = Gc.side cache pins.(0) in
+          let cut = ref false in
+          for j = 1 to g.Gc.net_size.(e) - 1 do
+            if Gc.side cache pins.(j) <> first then cut := true
+          done;
+          if !cut then total := !total + g.Gc.net_weight.(e)
+        done;
+        !total
+      in
+      let check_exact step =
+        if Gc.cut cache <> Gc.recompute_cut cache then
+          QCheck.Test.fail_reportf "step %d: cached cut %d, span recount %d"
+            step (Gc.cut cache) (Gc.recompute_cut cache);
+        if Gc.cut cache <> live_cut () then
+          QCheck.Test.fail_reportf "step %d: cached cut %d, live recount %d"
+            step (Gc.cut cache) (live_cut ());
+        for v = 0 to n - 1 do
+          if Nlevel.is_alive hy v then
+            for q = 0 to k - 1 do
+              if q <> Gc.side cache v then begin
+                let cached = Gc.gain cache v q
+                and fresh = Gc.recompute_gain cache v q in
+                if cached <> fresh then
+                  QCheck.Test.fail_reportf
+                    "step %d: gain(%d -> %d) cached %d, recomputed %d" step v q
+                    cached fresh
+              end
+            done
+        done
+      in
+      let step = ref 0 in
+      check_exact 0;
+      while Nlevel.uncontract_step ~cache hy do
+        incr step;
+        check_exact !step
+      done;
+      Nlevel.num_alive hy = n)
+
 let () =
   Alcotest.run "multilevel"
     [
@@ -907,6 +991,7 @@ let () =
             test_nlevel_trail_covers_input;
           Alcotest.test_case "rejects k < 2" `Quick test_nlevel_rejects_bad_k;
           qtest prop_nlevel_within_bounds;
+          qtest prop_nlevel_cache_through_uncontraction;
           Alcotest.test_case "primary2 8-way within bounds" `Quick
             test_nlevel_primary2_8way_bounds;
         ] );
