@@ -30,6 +30,7 @@ let kernels ?json ~jobs () =
   let h small = Suite.instantiate (Suite.find small) in
   let balu = h "balu" in
   let primary1 = h "primary1" in
+  let primary2 = h "primary2" in
   let rng = Rng.create 42 in
   (* Intra-run parallelism for the pipeline kernels; [None] at --jobs 1
      exercises the sequential paths.  Outputs are bit-identical either
@@ -96,6 +97,11 @@ let kernels ?json ~jobs () =
         stage "nlevel/primary1-4way" (fun () ->
             ignore
               (Mlpart_multilevel.Nlevel.run (Rng.split rng) primary1 ~k:4));
+        (* The op of benchv2's kway workload, without process start-up:
+           primary2 under generator seed 1, three parts. *)
+        stage "nlevel/primary2-3way" (fun () ->
+            ignore
+              (Mlpart_multilevel.Nlevel.run (Rng.split rng) primary2 ~k:3));
         stage "extras/topdown-place" (fun () ->
             ignore (Mlpart_placement.Topdown.run (Rng.split rng) balu));
         (* Phase kernel: uncoarsening refinement sweep alone. *)

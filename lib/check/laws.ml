@@ -442,7 +442,10 @@ let memento_roundtrip =
 (* The k-way gain cache stays exact under arbitrary move sequences: after
    every move, every cached (module, target) gain equals a from-scratch
    recomputation, and the incremental cut matches both the cache's own
-   recount and the reference [Objective] evaluation. *)
+   recount and the reference [Objective] evaluation.  Rolling back a
+   random tail of those moves in one [restore] leaves the same side, part
+   areas, cut and gains as a twin cache undoing them one [move] at a
+   time, and the cache stays exact. *)
 let gain_cache_consistent =
   Packed
     {
@@ -459,6 +462,7 @@ let gain_cache_consistent =
           let side = Array.init n (fun _ -> Rng.int rng k) in
           let members = Array.init n Fun.id in
           let t = Gain_cache.create g ~k ~members side in
+          let twin = Gain_cache.create g ~k ~members (Array.copy side) in
           let check_all () =
             let report = Objective.evaluate h (Gain_cache.side_array t) in
             if Gain_cache.cut t <> report.Objective.net_cut then
@@ -487,14 +491,49 @@ let gain_cache_consistent =
             end
           in
           let steps = 2 + (3 * n) in
+          let moved = Array.make steps 0 and from = Array.make steps 0 in
           let rec go i =
             if i >= steps then Pass
             else begin
-              Gain_cache.move t (Rng.int rng n) (Rng.int rng k);
+              let v = Rng.int rng n and q = Rng.int rng k in
+              moved.(i) <- v;
+              from.(i) <- Gain_cache.side t v;
+              Gain_cache.move t v q;
+              Gain_cache.move twin v q;
               match check_all () with Pass -> go (i + 1) | other -> other
             end
           in
-          match check_all () with Pass -> go 0 | other -> other);
+          (* Undo the last [len] moves, latest first: in one call on [t],
+             one move at a time on [twin].  A module moved more than once
+             returns to where its earliest undone move took it from. *)
+          let roll_back () =
+            let len = Rng.int rng (steps + 1) in
+            let vs = Array.init len (fun i -> moved.(steps - 1 - i)) in
+            let back = Array.make n 0 in
+            for i = 0 to len - 1 do
+              back.(vs.(i)) <- from.(steps - 1 - i);
+              Gain_cache.move twin vs.(i) from.(steps - 1 - i)
+            done;
+            Gain_cache.restore t vs back len;
+            let gains c =
+              Array.init (n * k) (fun i ->
+                  let v = i / k and q = i mod k in
+                  if q = Gain_cache.side c v then 0 else Gain_cache.gain c v q)
+            in
+            if Gain_cache.side_array t <> Gain_cache.side_array twin then
+              failf "restore of %d moves left another side than moving back" len
+            else if Gain_cache.part_areas t <> Gain_cache.part_areas twin then
+              failf "restore of %d moves left other part areas" len
+            else if Gain_cache.cut t <> Gain_cache.cut twin then
+              failf "restore of %d moves: cut %d, moving back gives %d" len
+                (Gain_cache.cut t) (Gain_cache.cut twin)
+            else if gains t <> gains twin then
+              failf "restore of %d moves left other gains than moving back" len
+            else check_all ()
+          in
+          match check_all () with
+          | Pass -> ( match go 0 with Pass -> roll_back () | other -> other)
+          | other -> other);
     }
 
 let law_properties =

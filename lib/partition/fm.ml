@@ -496,7 +496,11 @@ let run_pass st =
           apply_move st v;
           Metrics.observe h_move_gain g;
           g);
-      undo = (fun v -> unmove st v);
+      undo =
+        (fun ~lo ~hi ->
+          for i = hi - 1 downto lo do
+            unmove st st.order.(i)
+          done);
       rebuild =
         (fun ~first_bad ~kept ->
           Metrics.incr m_backtracks;

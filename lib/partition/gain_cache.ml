@@ -38,6 +38,9 @@ type t = {
   penalty : int array; (* per module *)
   benefit : int array; (* (k*v)+q *)
   mutable cut : int;
+  net_stamp : int array; (* = stamp: net already retracted by this restore *)
+  touched : int array; (* the nets this restore retracted, in order *)
+  mutable stamp : int;
 }
 
 (* Add (sign = +1) or retract (sign = -1) net [e]'s gain contributions for
@@ -101,9 +104,6 @@ let rederive_net ?on_delta ?silent t e =
   if !spans >= 2 then t.cut <- t.cut + t.g.net_weight.(e);
   add_net_terms ?on_delta ?silent t e 1
 
-let net_will_change t e = retract_net t e
-let net_changed t e = rederive_net t e
-
 let create g ~k ~members side =
   let n = Array.length g.mod_deg and m = Array.length g.net_size in
   let t =
@@ -117,6 +117,9 @@ let create g ~k ~members side =
       penalty = Array.make n 0;
       benefit = Array.make (k * n) 0;
       cut = 0;
+      net_stamp = Array.make m 0;
+      touched = Array.make m 0;
+      stamp = 0;
     }
   in
   Array.iter
@@ -135,23 +138,97 @@ let part_areas t = t.part_areas
 let area t v = t.g.areas.(v)
 let gain t v q = t.benefit.((t.k * v) + q) - t.penalty.(v)
 
+(* Reassign [v] and its area; the caller retracts and re-derives its nets. *)
+let relocate t v q =
+  let p = t.side.(v) and a = t.g.areas.(v) in
+  t.side.(v) <- q;
+  t.part_areas.(p) <- t.part_areas.(p) - a;
+  t.part_areas.(q) <- t.part_areas.(q) + a
+
 let move ?on_delta t v q =
-  let p = t.side.(v) in
-  if p <> q then begin
+  if t.side.(v) <> q then begin
     let nets = t.g.mod_nets.(v) and deg = t.g.mod_deg.(v) in
     for i = 0 to deg - 1 do
       retract_net ?on_delta ~silent:v t nets.(i)
     done;
-    t.side.(v) <- q;
-    let a = t.g.areas.(v) in
-    t.part_areas.(p) <- t.part_areas.(p) - a;
-    t.part_areas.(q) <- t.part_areas.(q) + a;
+    relocate t v q;
     for i = 0 to deg - 1 do
       rederive_net ?on_delta ~silent:v t nets.(i)
     done
   end
 
+(* Cached terms are a function of the assignment and the live structure
+   alone, so one retraction before all the moves and one re-derivation
+   after them leave every entry as the moves one by one would. *)
+let restore t vs from len =
+  t.stamp <- t.stamp + 1;
+  let touched = ref 0 in
+  for i = 0 to len - 1 do
+    let v = vs.(i) in
+    let nets = t.g.mod_nets.(v) in
+    for j = 0 to t.g.mod_deg.(v) - 1 do
+      let e = nets.(j) in
+      if t.net_stamp.(e) <> t.stamp then begin
+        t.net_stamp.(e) <- t.stamp;
+        retract_net t e;
+        t.touched.(!touched) <- e;
+        incr touched
+      end
+    done
+  done;
+  for i = 0 to len - 1 do
+    relocate t vs.(i) from.(vs.(i))
+  done;
+  for i = 0 to !touched - 1 do
+    rederive_net t t.touched.(i)
+  done
+
 let activate t v ~part = t.side.(v) <- part
+
+(* [u]'s pin in [e] becomes [v], which sits in [u]'s part: the pin counts,
+   the span and the cut stay as they are, and [u]'s terms from [e] pass
+   to [v]. *)
+let rename_pin t e ~u ~v =
+  let s = t.g.net_size.(e) in
+  if s <= net_threshold then begin
+    let w = t.g.net_weight.(e) and base = t.k * e and p = t.side.(u) in
+    let own = t.pins_on.(base + p) in
+    if own = s then begin
+      t.penalty.(u) <- t.penalty.(u) - w;
+      t.penalty.(v) <- t.penalty.(v) + w
+    end;
+    if own = 1 then
+      for q = 0 to t.k - 1 do
+        if q <> p && t.pins_on.(base + q) = s - 1 then begin
+          t.benefit.((t.k * u) + q) <- t.benefit.((t.k * u) + q) - w;
+          t.benefit.((t.k * v) + q) <- t.benefit.((t.k * v) + q) + w
+        end
+      done
+  end
+
+(* [v] joins [e] beside [u], in [u]'s part [p]: [p] gains a pin; the span
+   and the cut stay.  A pin of another part can hold a term only toward
+   [p], and keeps it: [p] still holds every pin but that one.  A pin
+   already in [p] keeps its penalty: the net lies wholly in [p] after the
+   append exactly when it did before.  So three things change: [v] takes
+   the penalty if the net lay wholly in [p], [u]'s benefit terms lapse if
+   it was [p]'s only pin, and a net that outgrows the gain threshold
+   retracts all its terms. *)
+let append_pin t e ~u ~v =
+  let s = t.g.net_size.(e) in
+  let base = t.k * e and p = t.side.(u) in
+  if s = net_threshold then add_net_terms t e (-1)
+  else if s < net_threshold then begin
+    let w = t.g.net_weight.(e) in
+    let own = t.pins_on.(base + p) in
+    if own = s then t.penalty.(v) <- t.penalty.(v) + w;
+    if own = 1 then
+      for q = 0 to t.k - 1 do
+        if q <> p && t.pins_on.(base + q) = s - 1 then
+          t.benefit.((t.k * u) + q) <- t.benefit.((t.k * u) + q) - w
+      done
+  end;
+  t.pins_on.(base + p) <- t.pins_on.(base + p) + 1
 
 let recompute_gain t v q =
   let p = t.side.(v) in

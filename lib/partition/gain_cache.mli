@@ -19,19 +19,31 @@
     lists shrink and grow between moves.  {!graph_of_hypergraph} copies a
     CSR netlist into that form.
 
-    All updates are deltas.  A {!move} re-derives only the terms of the
-    nets incident to the moved module; structural edits (a pin appearing or
-    being renamed during uncontraction) are bracketed by
-    {!net_will_change} / {!net_changed}, which retract and re-derive one
-    net's contributions.  Nothing is ever recomputed whole-graph after
-    {!create}; {!recompute_gain} exists so property tests can check the
-    cached values against a from-scratch computation. *)
+    All updates are deltas, along three paths:
+
+    - {!move} brackets each net incident to the moved module: it retracts
+      the net's terms, moves the module, re-derives them, and reports every
+      other module's gain change.  The order of those reports steers a
+      pass's LIFO buckets, so it is part of the answer.
+    - {!restore} rolls back a pass's tail of moves in one bracket per
+      touched net: each net incident to a returning module is retracted
+      once, every module moves back, and each net is re-derived once.  It
+      reports nothing.
+    - {!rename_pin} and {!append_pin} keep the cache exact through an
+      uncontraction in O(k) per net: a renamed pin hands its terms to the
+      new module, and an appended pin changes at most the new pin's
+      penalty and its partner's benefit terms.
+
+    Nothing is ever recomputed whole-graph after {!create};
+    {!recompute_gain} exists so property tests can check the cached values
+    against a from-scratch computation. *)
 
 (** Mutable hypergraph view shared between the cache and its owner (the
     n-level hierarchy).  [net_pins.(e).(0 .. net_size.(e) - 1)] are the live
     pins of net [e] (distinct, alive modules); [mod_nets.(v).(0 ..
-    mod_deg.(v) - 1)] the live incident nets of [v].  Owners may mutate
-    live prefixes only through the bracketing protocol above. *)
+    mod_deg.(v) - 1)] the live incident nets of [v].  While a cache rides
+    along, the owner edits live prefixes only as {!rename_pin} and
+    {!append_pin} describe. *)
 type graph = {
   areas : int array;
   net_pins : int array array;
@@ -79,6 +91,13 @@ val move : ?on_delta:(int -> int -> int -> unit) -> t -> int -> int -> unit
     [w] whose cached [gain w r] changed by [d] (once per contributing net
     term; deltas for the moved module itself are not reported). *)
 
+val restore : t -> int array -> int array -> int -> unit
+(** [restore t vs from len] rolls back a tail of moves: each module
+    [vs.(i)], [i < len], returns to part [from.(vs.(i))], and the cache
+    ends as those moves one by one would leave it.  Each net incident to a
+    listed module is retracted and re-derived once, however many listed
+    modules it holds.  Nothing is reported. *)
+
 (** {1 Structural edits (uncontraction)} *)
 
 val activate : t -> int -> part:int -> unit
@@ -86,14 +105,16 @@ val activate : t -> int -> part:int -> unit
     entries must be vacuously zero (true for a module contracted away
     before {!create}, the n-level case). *)
 
-val net_will_change : t -> int -> unit
-(** Retract net [e]'s contributions (gain terms and cut) ahead of a
-    structural edit to its live pins. *)
+val rename_pin : t -> int -> u:int -> v:int -> unit
+(** [rename_pin t e ~u ~v]: net [e]'s live pin [u] is about to become [v],
+    which is active in [u]'s part.  Pin counts, span and cut stay; [u]'s
+    terms from [e] pass to [v].  O(k). *)
 
-val net_changed : t -> int -> unit
-(** Re-derive net [e]'s span counts, cut term and gain contributions from
-    its current live pins, after a structural edit announced by
-    {!net_will_change}. *)
+val append_pin : t -> int -> u:int -> v:int -> unit
+(** [append_pin t e ~u ~v]: [v], active in [u]'s part, is about to be
+    appended to net [e], which holds [u].  Call it before the owner grows
+    [e]'s live prefix.  O(k), except that a net growing past
+    {!Refine_core.net_threshold} pins retracts its terms over its pins. *)
 
 (** {1 Verification} *)
 

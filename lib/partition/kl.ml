@@ -81,15 +81,19 @@ let run ?init rng h =
     refresh_neighbours (c mod n);
     !chosen_gain
   in
+  let order = Array.make n 0 in
   let ops =
     {
       Refine_core.select;
       commit;
-      undo = swap;
+      undo =
+        (fun ~lo ~hi ->
+          for i = hi - 1 downto lo do
+            swap order.(i)
+          done);
       rebuild = (fun ~first_bad:_ ~kept:_ -> ());
     }
   in
-  let order = Array.make n 0 in
   let passes, _ =
     Refine_core.drive ~max_passes:max_int (fun ~pass:_ ->
         Array.fill locked 0 n false;

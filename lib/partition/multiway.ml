@@ -24,16 +24,25 @@ type arena = {
   mutable locked : bool array; (* moved this pass, or fixed *)
   mutable order : int array; (* move stack: candidates (v * k) + q *)
   mutable from : int array; (* source part of each module moved this pass *)
+  mutable tail : int array; (* modules of an undone tail, latest move first *)
   mutable buckets : Gain_bucket.t array; (* (p * k) + q, p <> q *)
 }
 
-let create_arena () = { locked = [||]; order = [||]; from = [||]; buckets = [||] }
+let create_arena () =
+  {
+    locked = [||];
+    order = [||];
+    from = [||];
+    tail = [||];
+    buckets = [||];
+  }
 
 let ensure_arena a n k =
   if Array.length a.locked < n then begin
     a.locked <- Array.make n false;
     a.order <- Array.make n 0;
-    a.from <- Array.make n 0
+    a.from <- Array.make n 0;
+    a.tail <- Array.make n 0
   end;
   if Array.length a.buckets < k * k then begin
     let old = a.buckets in
@@ -52,7 +61,7 @@ type source = {
   part_area : int array;
   gain : int -> int -> int;
   move : (int -> int -> int -> unit) -> int -> int -> unit;
-  undo : int -> int -> unit;
+  undo : int array -> int array -> int -> unit;
 }
 
 (* One LIFO bucket per direction (p, q), keyed by [src.gain] at pass start
@@ -71,7 +80,7 @@ let refine ?fixed ?(max_passes = max_int) ~max_gain a rng h ~k
     Gain_bucket.reinit ~rng:(Rng.split rng) ~policy:Gain_bucket.Lifo
       ~min_gain:(-max_gain) ~max_gain ~capacity:n a.buckets.(i)
   done;
-  let { locked; order; from; buckets } = a in
+  let { locked; order; from; tail; buckets } = a in
   let side = src.side and part_area = src.part_area in
   let areas = H.areas_store h and min_area = H.min_area h in
   let budget = ref 0 and chosen_gain = ref 0 in
@@ -130,11 +139,17 @@ let refine ?fixed ?(max_passes = max_int) ~max_gain a rng h ~k
     src.move report v (c mod k);
     !chosen_gain
   in
+  let undo ~lo ~hi =
+    for i = 0 to hi - lo - 1 do
+      tail.(i) <- order.(hi - 1 - i) / k
+    done;
+    src.undo tail from (hi - lo)
+  in
   let ops =
     {
       Refine_core.select;
       commit;
-      undo = (fun c -> src.undo (c / k) from.(c / k));
+      undo;
       rebuild = (fun ~first_bad:_ ~kept:_ -> ());
     }
   in
@@ -289,7 +304,11 @@ let run ?(config = default) ?init ?fixed ?arena rng h ~k =
          part_area = Kpartition.areas_store kp;
          gain = current_gain st;
          move = (fun _report v q -> apply_move st v q);
-         undo = Kpartition.move kp;
+         undo =
+           (fun vs from len ->
+             for i = 0 to len - 1 do
+               Kpartition.move kp vs.(i) from.(vs.(i))
+             done);
        });
   {
     side = Kpartition.side_array kp;

@@ -72,8 +72,12 @@ type source = {
           whose [gain w r] changed by [d].  Deltas may be split into
           several reports; their order steers the LIFO buckets, so it is
           part of the answer. *)
-  undo : int -> int -> unit;
-      (** [undo v p] moves [v] back to part [p]; nothing is reported. *)
+  undo : int array -> int array -> int -> unit;
+      (** [undo vs from len] rolls back a pass's tail of [len] moves in one
+          call: each module [vs.(i)], [i < len], listed latest move first,
+          returns to part [from.(vs.(i))].  Both arrays are the pass's
+          scratch: read them during the call only.  Nothing is
+          reported. *)
 }
 
 val refine :

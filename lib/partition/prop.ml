@@ -215,6 +215,7 @@ let run ?(config = default) ?init rng h =
   in
   (* Selection follows the probabilistic score, but the credited gain is
      the true cut change: the discrete FM gain. *)
+  let order = Array.make n 0 in
   let ops =
     {
       Refine_core.select = (fun () -> select st);
@@ -223,11 +224,14 @@ let run ?(config = default) ?init rng h =
           let g = Bipartition.gain ~net_threshold:Refine_core.net_threshold st.bp v in
           apply_move st v;
           g);
-      undo = unmove st;
+      undo =
+        (fun ~lo ~hi ->
+          for i = hi - 1 downto lo do
+            unmove st order.(i)
+          done);
       rebuild = (fun ~first_bad:_ ~kept:_ -> ());
     }
   in
-  let order = Array.make n 0 in
   ignore
     (Refine_core.drive ~max_passes:max_int (fun ~pass:_ ->
          init_pass st;

@@ -6,7 +6,7 @@ let net_threshold = 200
 type ops = {
   select : unit -> int;
   commit : int -> int;
-  undo : int -> unit;
+  undo : lo:int -> hi:int -> unit;
   rebuild : first_bad:int -> kept:int -> unit;
 }
 
@@ -43,9 +43,7 @@ let run_pass ~order ?early_exit ?backtrack ops =
             (* Undo the losing streak, then let the host freeze its first
                module and rebuild selection structures. *)
             let first_bad = order.(!best_count) in
-            for i = !moved - 1 downto !best_count do
-              ops.undo order.(i)
-            done;
+            ops.undo ~lo:!best_count ~hi:!moved;
             moved := !best_count;
             cum := !best;
             ops.rebuild ~first_bad ~kept:!moved
@@ -55,9 +53,7 @@ let run_pass ~order ?early_exit ?backtrack ops =
   done;
   (* Keep only the best prefix; what gets undone is the rollback depth. *)
   let rolled_back = !moved - !best_count in
-  for i = !moved - 1 downto !best_count do
-    ops.undo order.(i)
-  done;
+  ops.undo ~lo:!best_count ~hi:!moved;
   { gain = !best; moves = !moved; rolled_back }
 
 let drive ~max_passes f =

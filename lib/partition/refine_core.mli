@@ -27,9 +27,11 @@ type ops = {
   commit : int -> int;
       (** Lock the candidate, apply its move, and return the gain credited
           to the cumulative total. *)
-  undo : int -> unit;
-      (** Revert one committed move (partition state only; selection
-          structures are rebuilt by the host, not restored). *)
+  undo : lo:int -> hi:int -> unit;
+      (** Revert the committed moves [order.(hi - 1)] down to [order.(lo)],
+          latest first, in one call, so a host can batch the tail's state
+          updates (partition state only; selection structures are rebuilt
+          by the host, not restored).  The range may be empty. *)
   rebuild : first_bad:int -> kept:int -> unit;
       (** After a backtrack undid the losing streak: [first_bad] is the
           first module of the undone streak (hosts typically freeze it for

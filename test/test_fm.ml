@@ -276,7 +276,8 @@ let test_engine_golden () =
 
 module Rc = Mlpart_partition.Refine_core
 
-let scripted gains =
+(* The host logs each reverted move of an undone range, latest first. *)
+let scripted gains order =
   let i = ref 0 in
   let log = ref [] in
   let ops =
@@ -287,7 +288,11 @@ let scripted gains =
           log := `Commit v :: !log;
           incr i;
           gains.(v));
-      undo = (fun v -> log := `Undo v :: !log);
+      undo =
+        (fun ~lo ~hi ->
+          for j = hi - 1 downto lo do
+            log := `Undo order.(j) :: !log
+          done);
       rebuild =
         (fun ~first_bad ~kept -> log := `Rebuild (first_bad, kept) :: !log);
     }
@@ -295,8 +300,8 @@ let scripted gains =
   (ops, fun () -> List.rev !log)
 
 let run_scripted ?early_exit ?backtrack gains =
-  let ops, log = scripted gains in
   let order = Array.make (Stdlib.max 1 (Array.length gains)) (-1) in
+  let ops, log = scripted gains order in
   let p = Rc.run_pass ~order ?early_exit ?backtrack ops in
   (p, log ())
 

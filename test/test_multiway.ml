@@ -124,7 +124,7 @@ let test_max_passes () =
            part_area = Gc.part_areas c;
            gain = Gc.gain c;
            move = (fun report v q -> Gc.move ~on_delta:report c v q);
-           undo = Gc.move c;
+           undo = Gc.restore c;
          })
   in
   check Alcotest.int "single pass" 1 (passes ~max_passes:1 ());
