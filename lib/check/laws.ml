@@ -8,6 +8,7 @@ module Ml = Mlpart_multilevel.Ml
 module Rb = Mlpart_multilevel.Rb
 module Nlevel = Mlpart_multilevel.Nlevel
 module Gain_cache = Mlpart_partition.Gain_cache
+module Kp = Mlpart_partition.Kpartition
 module Pool = Mlpart_util.Pool
 module Algos = Mlpart_experiments.Algos
 
@@ -439,13 +440,39 @@ let memento_roundtrip =
           end);
     }
 
+(* The partition only increments and decrements its pin counts, so an
+   edit that skips one stays wrong until a recount over the live pins, by
+   a fresh partition of the same view, sees it. *)
+let kpartition_recount kp =
+  let k = Kp.k kp in
+  let fresh = Kp.of_graph (Kp.graph kp) ~k ~members:[||] (Kp.side_store kp) in
+  let differ a b = List.find_opt (fun i -> a.(i) <> b.(i)) in
+  let all a = List.init (Array.length a) Fun.id in
+  let counts = Kp.pins_on_store kp and spans = Kp.spans_store kp in
+  match differ counts (Kp.pins_on_store fresh) (all counts) with
+  | Some i ->
+      Some
+        (Printf.sprintf "net %d holds %d pins in part %d, recount %d" (i / k)
+           counts.(i) (i mod k) (Kp.pins_on_store fresh).(i))
+  | None -> (
+      match differ spans (Kp.spans_store fresh) (all spans) with
+      | Some e ->
+          Some
+            (Printf.sprintf "net %d spans %d parts, recount %d" e spans.(e)
+               (Kp.spans_store fresh).(e))
+      | None when Kp.cut kp <> Kp.recompute_cut kp ->
+          Some
+            (Printf.sprintf "cut %d but recount is %d" (Kp.cut kp)
+               (Kp.recompute_cut kp))
+      | None -> None)
+
 (* The k-way gain cache stays exact under arbitrary move sequences: after
    every move, every cached (module, target) gain equals a from-scratch
-   recomputation, and the incremental cut matches both the cache's own
-   recount and the reference [Objective] evaluation.  Rolling back a
-   random tail of those moves in one [restore] leaves the same side, part
-   areas, cut and gains as a twin cache undoing them one [move] at a
-   time, and the cache stays exact. *)
+   recomputation, the partition's pin counts, spans and cut equal a
+   recount over the live pins, and the cut matches the reference
+   [Objective] evaluation.  Rolling back a random tail of those moves in
+   one [restore] leaves the same side, part areas, cut and gains as a twin
+   cache undoing them one [move] at a time, and the cache stays exact. *)
 let gain_cache_consistent =
   Packed
     {
@@ -458,37 +485,35 @@ let gain_cache_consistent =
           let n = H.num_modules h in
           let rng = Rng.create seed in
           let k = 2 + Rng.int rng 3 in
-          let g = Gain_cache.graph_of_hypergraph h in
           let side = Array.init n (fun _ -> Rng.int rng k) in
-          let members = Array.init n Fun.id in
-          let t = Gain_cache.create g ~k ~members side in
-          let twin = Gain_cache.create g ~k ~members (Array.copy side) in
+          let t = Gain_cache.create (Kp.create h ~k side) in
+          let twin = Gain_cache.create (Kp.create h ~k side) in
+          let kp = Gain_cache.partition t
+          and kp_twin = Gain_cache.partition twin in
           let check_all () =
-            let report = Objective.evaluate h (Gain_cache.side_array t) in
-            if Gain_cache.cut t <> report.Objective.net_cut then
-              failf "cached cut %d but reference recount is %d"
-                (Gain_cache.cut t) report.Objective.net_cut
-            else if Gain_cache.cut t <> Gain_cache.recompute_cut t then
-              failf "cached cut %d but span recount is %d" (Gain_cache.cut t)
-                (Gain_cache.recompute_cut t)
-            else begin
-              let bad = ref None in
-              for v = 0 to n - 1 do
-                for q = 0 to k - 1 do
-                  if q <> Gain_cache.side t v && !bad = None then begin
-                    let cached = Gain_cache.gain t v q in
-                    let fresh = Gain_cache.recompute_gain t v q in
-                    if cached <> fresh then
-                      bad :=
-                        Some
-                          (Printf.sprintf
-                             "gain(%d -> %d) cached %d, recomputed %d" v q
-                             cached fresh)
-                  end
-                done
-              done;
-              match !bad with Some msg -> Fail msg | None -> Pass
-            end
+            let report = Objective.evaluate h (Kp.side_array kp) in
+            let bad =
+              ref
+                (if Kp.cut kp <> report.Objective.net_cut then
+                   Some
+                     (Printf.sprintf "cached cut %d but reference recount is %d"
+                        (Kp.cut kp) report.Objective.net_cut)
+                 else kpartition_recount kp)
+            in
+            for v = 0 to n - 1 do
+              for q = 0 to k - 1 do
+                if q <> Kp.side kp v && !bad = None then begin
+                  let cached = Gain_cache.gain t v q in
+                  let fresh = Gain_cache.recompute_gain t v q in
+                  if cached <> fresh then
+                    bad :=
+                      Some
+                        (Printf.sprintf "gain(%d -> %d) cached %d, recomputed %d"
+                           v q cached fresh)
+                end
+              done
+            done;
+            match !bad with Some msg -> Fail msg | None -> Pass
           in
           let steps = 2 + (3 * n) in
           let moved = Array.make steps 0 and from = Array.make steps 0 in
@@ -497,7 +522,7 @@ let gain_cache_consistent =
             else begin
               let v = Rng.int rng n and q = Rng.int rng k in
               moved.(i) <- v;
-              from.(i) <- Gain_cache.side t v;
+              from.(i) <- Kp.side kp v;
               Gain_cache.move t v q;
               Gain_cache.move twin v q;
               match check_all () with Pass -> go (i + 1) | other -> other
@@ -516,17 +541,18 @@ let gain_cache_consistent =
             done;
             Gain_cache.restore t vs back len;
             let gains c =
+              let kp = Gain_cache.partition c in
               Array.init (n * k) (fun i ->
                   let v = i / k and q = i mod k in
-                  if q = Gain_cache.side c v then 0 else Gain_cache.gain c v q)
+                  if q = Kp.side kp v then 0 else Gain_cache.gain c v q)
             in
-            if Gain_cache.side_array t <> Gain_cache.side_array twin then
+            if Kp.side_array kp <> Kp.side_array kp_twin then
               failf "restore of %d moves left another side than moving back" len
-            else if Gain_cache.part_areas t <> Gain_cache.part_areas twin then
+            else if Kp.areas_store kp <> Kp.areas_store kp_twin then
               failf "restore of %d moves left other part areas" len
-            else if Gain_cache.cut t <> Gain_cache.cut twin then
+            else if Kp.cut kp <> Kp.cut kp_twin then
               failf "restore of %d moves: cut %d, moving back gives %d" len
-                (Gain_cache.cut t) (Gain_cache.cut twin)
+                (Kp.cut kp) (Kp.cut kp_twin)
             else if gains t <> gains twin then
               failf "restore of %d moves left other gains than moving back" len
             else check_all ()

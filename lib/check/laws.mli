@@ -31,3 +31,10 @@ val all : Property.packed list
 (** [oracle_properties @ law_properties]; names are unique. *)
 
 val find : string -> Property.packed option
+
+val kpartition_recount : Mlpart_partition.Kpartition.t -> string option
+(** [Some] message naming the first net whose per-part pin count or span
+    in the partition differs from a recount over its live pins, or a cut
+    other than {!Mlpart_partition.Kpartition.recompute_cut}; [None] when
+    all agree.  [laws/gain-cache] and the n-level uncontraction test
+    check the partition a gain cache moves with it. *)

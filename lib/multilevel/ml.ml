@@ -52,13 +52,13 @@ let build_hierarchy config ?fixed ?pair_ok ?pool rng h =
 let project cluster_of coarse_side =
   Array.map (fun c -> coarse_side.(c)) cluster_of
 
-(* Partition the coarsest netlist (steps 6 of Figure 2), optionally from an
-   initial solution, with multi-start as the §V extension.  Sequential
-   starts share [arena]; pooled starts let each Fm.run create its own
-   (arenas are domain-local), which is bit-identical anyway. *)
-let partition_coarsest config ?init ?fixed ?pool ?arena rng coarsest =
+(* Partition the coarsest netlist (steps 6 of Figure 2) from a random
+   start, with multi-start as the §V extension.  Sequential starts share
+   [arena]; pooled starts let each Fm.run create its own (arenas are
+   domain-local), which is bit-identical anyway. *)
+let partition_coarsest config ?fixed ?pool ?arena rng coarsest =
   let starts = Stdlib.max 1 config.coarsest_starts in
-  if starts = 1 then Fm.run ~config:config.engine ?init ?fixed ?arena rng coarsest
+  if starts = 1 then Fm.run ~config:config.engine ?fixed ?arena rng coarsest
   else begin
     let arena =
       match pool with Some p when Pool.size p > 1 -> None | Some _ | None -> arena
@@ -66,20 +66,22 @@ let partition_coarsest config ?init ?fixed ?pool ?arena rng coarsest =
     fst
       (Multistart.best ?pool ~starts
          ~cut:(fun r -> r.Fm.cut)
-         (fun rng -> Fm.run ~config:config.engine ?init ?fixed ?arena rng coarsest)
+         (fun rng -> Fm.run ~config:config.engine ?fixed ?arena rng coarsest)
          rng)
   end
 
-(* Uncoarsening: project and refine level by level (steps 7-9).  One arena
-   serves every level: engine state is allocated once, at the finest
-   level's size, instead of rebuilt per level.  Each level gets a
-   [ml/refine_level] span — the single timing source the bench harness's
-   per-phase breakdown is derived from. *)
+(* Uncoarsening: project and refine level by level (steps 7-9).  Each
+   level's projection becomes one partition state, which the pre-pass and
+   then FM refine in place.  One arena serves every level: engine state is
+   allocated once, at the finest level's size, instead of rebuilt per
+   level.  Each level gets a [ml/refine_level] span — the single timing
+   source the bench harness's per-phase breakdown is derived from. *)
 let refine_up config ?pool ?arena rng hierarchy initial_side =
   List.fold_left
     (fun coarse_side { Hierarchy.netlist; cluster_of; fixed } ->
       let t0 = Trace.start () in
-      let projected = project cluster_of coarse_side in
+      let bp = Bp.create netlist (project cluster_of coarse_side) in
+      let projected_cut = Bp.cut bp in
       (* Round-based pre-pass at the larger levels: parallel positive-gain
          sweeps shrink the cut before the exact sequential FM polish.  It
          runs whether or not a pool is present — the committed move
@@ -92,11 +94,9 @@ let refine_up config ?pool ?arena rng hierarchy initial_side =
         in
         ignore
           (Rounds.run ?pool ?fixed ~net_threshold:config.engine.Fm.net_threshold
-             ~max_rounds:rounds ~bounds netlist projected)
+             ~max_rounds:rounds ~bounds bp)
       end;
-      let refined =
-        Fm.run ~config:config.engine ~init:projected ?fixed ?arena rng netlist
-      in
+      let refined = Fm.refine ~config:config.engine ?fixed ?arena rng bp in
       if Trace.enabled () then
         Trace.complete ~cat:"ml"
           ~args:
@@ -109,9 +109,8 @@ let refine_up config ?pool ?arena rng hierarchy initial_side =
           "ml/refine_level" t0;
       Log.debug (fun m ->
           m "refined level |V|=%d: projected cut %d -> %d (%d passes)"
-            (H.num_modules netlist)
-            (Fm.cut_of netlist projected)
-            refined.Fm.cut refined.Fm.passes);
+            (H.num_modules netlist) projected_cut refined.Fm.cut
+            refined.Fm.passes);
       refined.Fm.side)
     initial_side
     (List.rev hierarchy.Hierarchy.levels)

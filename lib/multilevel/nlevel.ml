@@ -47,7 +47,7 @@ type result = { side : int array; cut : int; contractions : int; moves : int }
 type memento = { u : int; v : int; both : int array; pushed : int }
 
 type hierarchy = {
-  g : Cache.graph;
+  g : Kpartition.graph;
   alive : bool array;
   mutable n_alive : int;
   mutable trail : memento list;
@@ -57,7 +57,7 @@ type hierarchy = {
 let hierarchy_of h =
   let n = H.num_modules h in
   {
-    g = Cache.graph_of_hypergraph h;
+    g = Kpartition.graph_of_hypergraph h;
     alive = Array.make n true;
     n_alive = n;
     trail = [];
@@ -65,15 +65,15 @@ let hierarchy_of h =
   }
 
 let push_net g u e =
-  let d = g.Cache.mod_deg.(u) in
-  let arr = g.Cache.mod_nets.(u) in
+  let d = g.Kpartition.mod_deg.(u) in
+  let arr = g.Kpartition.mod_nets.(u) in
   if d = Array.length arr then begin
     let arr' = Array.make (Stdlib.max 4 (2 * d)) 0 in
     Array.blit arr 0 arr' 0 d;
-    g.Cache.mod_nets.(u) <- arr'
+    g.Kpartition.mod_nets.(u) <- arr'
   end;
-  g.Cache.mod_nets.(u).(d) <- e;
-  g.Cache.mod_deg.(u) <- d + 1
+  g.Kpartition.mod_nets.(u).(d) <- e;
+  g.Kpartition.mod_deg.(u) <- d + 1
 
 (* Contract [v] into [u]: one vertex disappears, every net of [v] either
    drops its v pin (u already present) or has it renamed to u. *)
@@ -81,10 +81,10 @@ let contract hy u v =
   let g = hy.g in
   let both = ref [] in
   let pushed = ref 0 in
-  for i = 0 to g.Cache.mod_deg.(v) - 1 do
-    let e = g.Cache.mod_nets.(v).(i) in
-    let pins = g.Cache.net_pins.(e) in
-    let s = g.Cache.net_size.(e) in
+  for i = 0 to g.Kpartition.mod_deg.(v) - 1 do
+    let e = g.Kpartition.mod_nets.(v).(i) in
+    let pins = g.Kpartition.net_pins.(e) in
+    let s = g.Kpartition.net_size.(e) in
     let has_u = ref false in
     let v_slot = ref (-1) in
     for j = 0 to s - 1 do
@@ -93,7 +93,7 @@ let contract hy u v =
     done;
     if !has_u then begin
       pins.(!v_slot) <- pins.(s - 1);
-      g.Cache.net_size.(e) <- s - 1;
+      g.Kpartition.net_size.(e) <- s - 1;
       both := e :: !both
     end
     else begin
@@ -102,7 +102,7 @@ let contract hy u v =
       incr pushed
     end
   done;
-  g.Cache.areas.(u) <- g.Cache.areas.(u) + g.Cache.areas.(v);
+  g.Kpartition.areas.(u) <- g.Kpartition.areas.(u) + g.Kpartition.areas.(v);
   hy.alive.(v) <- false;
   hy.n_alive <- hy.n_alive - 1;
   hy.contractions <- hy.contractions + 1;
@@ -112,21 +112,23 @@ let contract hy u v =
    span, the cut and the part areas unchanged, so a riding cache needs one
    O(k) edit per net instead of a retract and re-derive over all its pins:
    a renamed pin hands [u]'s terms to [v] ([Cache.rename_pin]); an appended
-   pin grows [u]'s part's pin count and changes at most [v]'s penalty and
-   [u]'s benefits ([Cache.append_pin]). *)
+   pin changes at most [v]'s penalty and [u]'s benefits, and grows [u]'s
+   part's pin count in the partition ([Cache.append_pin]). *)
 let uncontract ?cache hy m =
   let g = hy.g in
   (match cache with
-  | Some c -> Cache.activate c m.v ~part:(Cache.side c m.u)
+  | Some c ->
+      let kp = Cache.partition c in
+      Kpartition.activate kp m.v ~part:(Kpartition.side kp m.u)
   | None -> ());
   for _ = 1 to m.pushed do
-    let d = g.Cache.mod_deg.(m.u) - 1 in
-    let e = g.Cache.mod_nets.(m.u).(d) in
-    g.Cache.mod_deg.(m.u) <- d;
+    let d = g.Kpartition.mod_deg.(m.u) - 1 in
+    let e = g.Kpartition.mod_nets.(m.u).(d) in
+    g.Kpartition.mod_deg.(m.u) <- d;
     (match cache with
     | Some c -> Cache.rename_pin c e ~u:m.u ~v:m.v
     | None -> ());
-    let pins = g.Cache.net_pins.(e) in
+    let pins = g.Kpartition.net_pins.(e) in
     let j = ref 0 in
     while pins.(!j) <> m.u do
       incr j
@@ -138,11 +140,12 @@ let uncontract ?cache hy m =
       (match cache with
       | Some c -> Cache.append_pin c e ~u:m.u ~v:m.v
       | None -> ());
-      let s = g.Cache.net_size.(e) in
-      g.Cache.net_pins.(e).(s) <- m.v;
-      g.Cache.net_size.(e) <- s + 1)
+      let s = g.Kpartition.net_size.(e) in
+      g.Kpartition.net_pins.(e).(s) <- m.v;
+      g.Kpartition.net_size.(e) <- s + 1)
     m.both;
-  g.Cache.areas.(m.u) <- g.Cache.areas.(m.u) - g.Cache.areas.(m.v);
+  g.Kpartition.areas.(m.u) <-
+    g.Kpartition.areas.(m.u) - g.Kpartition.areas.(m.v);
   hy.alive.(m.v) <- true;
   hy.n_alive <- hy.n_alive + 1
 
@@ -171,18 +174,18 @@ let best_partner hy sc ~area_cap u =
   let g = hy.g in
   sc.stamp <- sc.stamp + 1;
   sc.ncand <- 0;
-  let au = g.Cache.areas.(u) in
-  for i = 0 to g.Cache.mod_deg.(u) - 1 do
-    let e = g.Cache.mod_nets.(u).(i) in
-    let s = g.Cache.net_size.(e) in
+  let au = g.Kpartition.areas.(u) in
+  for i = 0 to g.Kpartition.mod_deg.(u) - 1 do
+    let e = g.Kpartition.mod_nets.(u).(i) in
+    let s = g.Kpartition.net_size.(e) in
     if s >= 2 && s <= max_net_size then begin
       let contrib =
-        float_of_int g.Cache.net_weight.(e) /. float_of_int (s - 1)
+        float_of_int g.Kpartition.net_weight.(e) /. float_of_int (s - 1)
       in
-      let pins = g.Cache.net_pins.(e) in
+      let pins = g.Kpartition.net_pins.(e) in
       for j = 0 to s - 1 do
         let w = pins.(j) in
-        if w <> u && au + g.Cache.areas.(w) <= area_cap then begin
+        if w <> u && au + g.Kpartition.areas.(w) <= area_cap then begin
           if sc.seen.(w) <> sc.stamp then begin
             sc.seen.(w) <- sc.stamp;
             sc.score.(w) <- 0.;
@@ -198,7 +201,7 @@ let best_partner hy sc ~area_cap u =
   let best_key = ref 0. in
   for i = 0 to sc.ncand - 1 do
     let w = sc.cand.(i) in
-    let key = sc.score.(w) /. float_of_int (au * g.Cache.areas.(w)) in
+    let key = sc.score.(w) /. float_of_int (au * g.Kpartition.areas.(w)) in
     if !best < 0 || key > !best_key || (key = !best_key && w < !best) then begin
       best := w;
       best_key := key
@@ -260,10 +263,10 @@ let graph hy = hy.g
 let num_alive hy = hy.n_alive
 let trail_length hy = List.length hy.trail
 let is_alive hy v = hy.alive.(v)
-let module_area hy v = hy.g.Cache.areas.(v)
+let module_area hy v = hy.g.Kpartition.areas.(v)
 
 let live_net_pins hy e =
-  let a = Array.sub hy.g.Cache.net_pins.(e) 0 hy.g.Cache.net_size.(e) in
+  let a = Array.sub hy.g.Kpartition.net_pins.(e) 0 hy.g.Kpartition.net_size.(e) in
   Array.sort Int.compare a;
   a
 
@@ -284,13 +287,13 @@ let coarse_snapshot hy =
       incr next
     end
   done;
-  let areas = Array.map (fun v -> g.Cache.areas.(v)) members in
+  let areas = Array.map (fun v -> g.Kpartition.areas.(v)) members in
   let nets = ref [] in
-  for e = Array.length g.Cache.net_size - 1 downto 0 do
-    let s = g.Cache.net_size.(e) in
+  for e = Array.length g.Kpartition.net_size - 1 downto 0 do
+    let s = g.Kpartition.net_size.(e) in
     if s >= 2 then begin
-      let pins = Array.init s (fun j -> map.(g.Cache.net_pins.(e).(j))) in
-      nets := (pins, g.Cache.net_weight.(e)) :: !nets
+      let pins = Array.init s (fun j -> map.(g.Kpartition.net_pins.(e).(j))) in
+      nets := (pins, g.Kpartition.net_weight.(e)) :: !nets
     end
   done;
   (H.make ~areas ~nets:(Array.of_list !nets) (), members)
@@ -334,26 +337,22 @@ let reset_active act vs =
   Array.iter (activate_vertex act) vs
 
 (* Greedy moves on cached gains: the best move of an active module to a
-   part, over the directions [open_ p q] admits, of a module within
-   [Kpartition.budget bounds] of its direction and with a gain above
-   [floor]; ties go to the earlier active module, then the lower part.
-   Repeats until no move qualifies or [cap] moves are made, and every move
+   part, over the directions [open_ p q] admits, that
+   [Kpartition.move_is_feasible] allows and with a gain above [floor];
+   ties go to the earlier active module, then the lower part.  Repeats
+   until no move qualifies or [cap] moves are made, and every move
    activates the modules whose gains it touched.  Returns the move count. *)
 let greedy cache act bounds ~floor ~open_ ~cap =
-  let k = Cache.k cache and part_area = Cache.part_areas cache in
+  let kp = Cache.partition cache in
+  let k = Kpartition.k kp in
   let moves = ref 0 and continue = ref true in
   while !continue && !moves < cap do
     let best = ref (-1) and best_g = ref floor in
     for i = 0 to act.len - 1 do
       let v = act.items.(i) in
-      let p = Cache.side cache v and a = Cache.area cache v in
+      let p = Kpartition.side kp v in
       for q = 0 to k - 1 do
-        if
-          q <> p && open_ p q
-          && a
-             <= Kpartition.budget bounds ~from_area:part_area.(p)
-                  ~to_area:part_area.(q)
-        then begin
+        if open_ p q && Kpartition.move_is_feasible kp bounds v q then begin
           let g = Cache.gain cache v q in
           if g > !best_g then begin
             best_g := g;
@@ -378,9 +377,11 @@ let greedy cache act bounds ~floor ~open_ ~cap =
    Only the target's bound binds ([lo = 0] never does: no module outweighs
    its own part), since a cluster may be wider than the whole window. *)
 let drain_coarse cache act members bounds =
-  let k = Cache.k cache and part_area = Cache.part_areas cache in
+  let kp = Cache.partition cache in
+  let k = Kpartition.k kp in
   let rec first_over p =
-    if p = k || Kpartition.excess bounds part_area.(p) > 0 then p
+    if p = k || Kpartition.excess bounds (Kpartition.area_of_part kp p) > 0
+    then p
     else first_over (p + 1)
   in
   reset_active act members;
@@ -408,25 +409,22 @@ let local_refine cache act bounds u v =
    its budget, so it never pushes another part out) restore them, and a
    second polish follows.  Returns (passes, moves). *)
 let polish cache act rng h bounds =
-  let n = H.num_modules h and k = Cache.k cache in
-  let part_area = Cache.part_areas cache in
+  let kp = Cache.partition cache in
+  let n = H.num_modules h and k = Kpartition.k kp in
   let arena = Multiway.create_arena () in
   let pass () =
     Multiway.refine ~max_passes:polish_passes
       ~max_gain:(Stdlib.max 1 (H.max_weighted_degree h))
-      arena rng h ~k bounds
+      arena rng bounds kp
       {
-        Multiway.side = Cache.side_array cache;
-        part_area;
-        gain = Cache.gain cache;
+        Multiway.gain = Cache.gain cache;
         move = (fun on_delta v q -> Cache.move ~on_delta cache v q);
         undo = Cache.restore cache;
       }
   in
   let passes, moves = pass () in
-  let excess p = Kpartition.excess bounds part_area.(p) in
-  if Array.for_all (fun a -> Kpartition.excess bounds a = 0) part_area then
-    (passes, moves)
+  let excess p = Kpartition.excess bounds (Kpartition.area_of_part kp p) in
+  if Kpartition.is_balanced kp bounds then (passes, moves)
   else begin
     reset_active act (Array.init n Fun.id);
     let repairs =
@@ -455,7 +453,8 @@ let run ?(tolerance = 0.1) rng h ~k =
   Metrics.add m_contractions hy.contractions;
   let side = Array.make n 0 in
   let members = initial_partition ~tolerance rng hy side ~k in
-  let cache = Cache.create hy.g ~k ~members side in
+  let kp = Kpartition.of_graph hy.g ~k ~members side in
+  let cache = Cache.create kp in
   let bounds = Kpartition.bounds ~tolerance h ~k in
   let act = make_active n in
   drain_coarse cache act members bounds;
@@ -491,8 +490,8 @@ let run ?(tolerance = 0.1) rng h ~k =
   Metrics.incr m_runs;
   Metrics.add m_moves (!local_moves + fm_moves);
   {
-    side = Array.copy side;
-    cut = Cache.cut cache;
+    side = Kpartition.side_array kp;
+    cut = Kpartition.cut kp;
     contractions = hy.contractions;
     moves = !local_moves + fm_moves;
   }

@@ -42,7 +42,7 @@ val run :
 
     The contraction trail without any partitioning on top: build it, replay
     it, and compare the restored structure against the input.  A gain cache
-    built on {!graph} can ride along the replay. *)
+    over a partition of {!graph} can ride along the replay. *)
 
 type hierarchy
 
@@ -53,15 +53,16 @@ val coarsen_only :
   hierarchy
 (** Contract down to the threshold, recording the memento trail. *)
 
-val graph : hierarchy -> Mlpart_partition.Gain_cache.graph
+val graph : hierarchy -> Mlpart_partition.Kpartition.graph
 (** The live structure the trail edits in place: the pins, incidences and
     module areas of the current, partly contracted netlist. *)
 
 val uncontract_step : ?cache:Mlpart_partition.Gain_cache.t -> hierarchy -> bool
 (** Undo the most recent contraction left on the trail and return [true];
-    return [false] once the trail is empty.  With [cache] (built on
-    {!graph}), the restored module joins its partner's part and the cached
-    gains, span counts and cut stay exact. *)
+    return [false] once the trail is empty.  With [cache] (over a
+    {!Mlpart_partition.Kpartition.of_graph} partition of {!graph}), the
+    restored module joins its partner's part, the partition's pin counts,
+    spans and cut stay exact, and so do the cached gains. *)
 
 val uncontract_all : hierarchy -> unit
 (** Replay the whole trail in reverse ({!uncontract_step} until it returns

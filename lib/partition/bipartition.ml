@@ -81,15 +81,6 @@ let random rng h =
    with Exit -> ());
   create h side
 
-let copy t =
-  {
-    h = t.h;
-    side = Array.copy t.side;
-    pins_on = Array.copy t.pins_on;
-    areas = Array.copy t.areas;
-    cut = t.cut;
-  }
-
 let hypergraph t = t.h
 let side t v = t.side.(v)
 let side_array t = Array.copy t.side
@@ -100,7 +91,12 @@ let pins_on t e s = t.pins_on.((2 * e) + s)
 let pins_on_store t = t.pins_on
 let areas_store t = t.areas
 
-let is_balanced t b = t.areas.(0) >= b.lo && t.areas.(0) <= b.hi
+let excess b area0 =
+  if area0 > b.hi then area0 - b.hi
+  else if area0 < b.lo then area0 - b.lo
+  else 0
+
+let is_balanced t b = excess b t.areas.(0) = 0
 
 (* The one place the 2-way balance arithmetic lives: moving a module of
    area [a] off side [s] leaves side 0 at [areas.(0) -/+ a], which lies in
@@ -144,10 +140,7 @@ let stage_move t v =
 let move t v =
   let from = t.side.(v) in
   let dest = 1 - from in
-  let a = H.area t.h v in
-  t.side.(v) <- dest;
-  t.areas.(from) <- t.areas.(from) - a;
-  t.areas.(dest) <- t.areas.(dest) + a;
+  stage_move t v;
   (* Direct CSR walk: with [v] leaving [from], the from-count was [pf + 1]
      (never 0), so the net was cut before iff the dest side was occupied
      ([pd >= 2] after increment) and is cut after iff [pf > 0]. *)

@@ -35,8 +35,6 @@ val create : Mlpart_hypergraph.Hypergraph.t -> int array -> t
 val random : Mlpart_util.Rng.t -> Mlpart_hypergraph.Hypergraph.t -> t
 (** Random near-bisection: a random permutation is split by area midpoint. *)
 
-val copy : t -> t
-
 (** {1 Queries} *)
 
 val hypergraph : t -> Mlpart_hypergraph.Hypergraph.t
@@ -68,7 +66,13 @@ val areas_store : t -> int array
 (** [.(s)] is the current area of side [s]; lets engines test balance
     feasibility without a call per candidate. *)
 
+val excess : bounds -> int -> int
+(** [excess b area0] is how far a side-0 area of [area0] lies outside [b]:
+    positive above [hi], negative below [lo], 0 within (as
+    {!Kpartition.excess} is per part). *)
+
 val is_balanced : t -> bounds -> bool
+(** [excess b (area_of_side t 0) = 0]. *)
 
 val move_is_feasible : t -> bounds -> int -> bool
 (** Would moving module [v] keep side areas within [bounds]?  Computed as

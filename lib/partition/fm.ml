@@ -523,15 +523,11 @@ let run_pass st =
   Metrics.observe h_rollback p.Refine_core.rolled_back;
   p
 
-let run ?(config = default) ?init ?fixed ?arena rng h =
+let refine ?(config = default) ?fixed ?arena rng bp =
+  let h = Bipartition.hypergraph bp in
   let bounds =
     if config.wide_balance then Bipartition.wide_bounds ~tolerance:config.tolerance h
     else Bipartition.bounds ~tolerance:config.tolerance h
-  in
-  let bp =
-    match init with
-    | Some side -> Bipartition.create h side
-    | None -> Bipartition.random rng h
   in
   (* Pinned modules override whatever the initial solution said. *)
   (match fixed with
@@ -550,7 +546,7 @@ let run ?(config = default) ?init ?fixed ?arena rng h =
   (* every gain lies in [-wdeg, wdeg], so the CLIP sort keys pack *)
   let id_shift = Heapsort.shift_for n in
   if config.clip && not (Heapsort.fits ~shift:id_shift wdeg) then
-    invalid_arg "Fm.run: gains too large to pack above module ids";
+    invalid_arg "Fm.refine: gains too large to pack above module ids";
   let a = match arena with Some a -> a | None -> create_arena () in
   ensure_arena a n m;
   (* A fresh run starts from all-zero gains, exactly as the former per-run
@@ -628,3 +624,11 @@ let run ?(config = default) ?init ?fixed ?arena rng h =
     passes;
     moves;
   }
+
+let run ?config ?init ?fixed ?arena rng h =
+  let bp =
+    match init with
+    | Some side -> Bipartition.create h side
+    | None -> Bipartition.random rng h
+  in
+  refine ?config ?fixed ?arena rng bp

@@ -96,5 +96,16 @@ val run :
     [arena] supplies reusable scratch (see {!arena}); without it the run
     creates its own, so callers outside refinement loops are unaffected. *)
 
+val refine :
+  ?config:config ->
+  ?fixed:int array ->
+  ?arena:arena ->
+  Mlpart_util.Rng.t ->
+  Bipartition.t ->
+  result
+(** [refine rng bp] refines [bp] in place, after moving [fixed] modules
+    to their sides and rebalancing it as {!run} does.  {!run} is
+    {!Bipartition.create} or {!Bipartition.random}, then [refine]. *)
+
 val cut_of : Mlpart_hypergraph.Hypergraph.t -> int array -> int
 (** True weighted cut of an arbitrary side assignment (convenience). *)

@@ -1,77 +1,48 @@
-module H = Mlpart_hypergraph.Hypergraph
-
-type graph = {
-  areas : int array;
-  net_pins : int array array;
-  net_size : int array;
-  net_weight : int array;
-  mod_nets : int array array;
-  mod_deg : int array;
-}
-
-let graph_of_hypergraph h =
-  let n = H.num_modules h and m = H.num_nets h in
-  let noff = H.net_offsets_store h in
-  let pins = H.net_pins_store h in
-  let moff = H.mod_offsets_store h in
-  let mnets = H.mod_nets_store h in
-  {
-    areas = Array.copy (H.areas_store h);
-    net_pins =
-      Array.init m (fun e -> Array.sub pins noff.(e) (noff.(e + 1) - noff.(e)));
-    net_size = Array.init m (fun e -> noff.(e + 1) - noff.(e));
-    net_weight = Array.copy (H.net_weights_store h);
-    mod_nets =
-      Array.init n (fun v -> Array.sub mnets moff.(v) (moff.(v + 1) - moff.(v)));
-    mod_deg = Array.init n (fun v -> moff.(v + 1) - moff.(v));
-  }
+module Kp = Kpartition
 
 let net_threshold = Refine_core.net_threshold
 
 type t = {
-  g : graph;
-  k : int;
-  side : int array;
-  pins_on : int array; (* (k*e)+p: live pins of net e in part p *)
-  spans : int array; (* parts with >= 1 pin, per net *)
-  part_areas : int array;
+  kp : Kp.t;
   penalty : int array; (* per module *)
   benefit : int array; (* (k*v)+q *)
-  mutable cut : int;
   net_stamp : int array; (* = stamp: net already retracted by this restore *)
   touched : int array; (* the nets this restore retracted, in order *)
   mutable stamp : int;
 }
 
 (* Add (sign = +1) or retract (sign = -1) net [e]'s gain contributions for
-   all its live pins, against the current [pins_on] counts.  A pin [v] in
-   part [p] takes a penalty term when the net lies entirely in [p]
+   all its live pins, against the partition's current pin counts.  A pin
+   [v] in part [p] takes a penalty term when the net lies entirely in [p]
    (pins_on = size) and benefit terms toward every part holding all other
    pins (own count 1, target count size-1).  Single-pin nets take both
    (gain 0 everywhere), which keeps the decomposition total. *)
 let add_net_terms ?on_delta ?(silent = -1) t e sign =
-  let s = t.g.net_size.(e) in
+  let g = Kp.graph t.kp in
+  let s = g.net_size.(e) in
   if s <= net_threshold then begin
-    let w = sign * t.g.net_weight.(e) in
-    let base = t.k * e in
-    let pins = t.g.net_pins.(e) in
+    let k = Kp.k t.kp and side = Kp.side_store t.kp in
+    let pins_on = Kp.pins_on_store t.kp in
+    let w = sign * g.net_weight.(e) in
+    let base = k * e in
+    let pins = g.net_pins.(e) in
     for i = 0 to s - 1 do
       let v = pins.(i) in
-      let p = t.side.(v) in
-      let own = t.pins_on.(base + p) in
+      let p = side.(v) in
+      let own = pins_on.(base + p) in
       if own = s then begin
         t.penalty.(v) <- t.penalty.(v) + w;
         match on_delta with
         | Some f when v <> silent ->
-            for q = 0 to t.k - 1 do
+            for q = 0 to k - 1 do
               if q <> p then f v q (-w)
             done
         | Some _ | None -> ()
       end;
       if own = 1 then
-        for q = 0 to t.k - 1 do
-          if q <> p && t.pins_on.(base + q) = s - 1 then begin
-            t.benefit.((t.k * v) + q) <- t.benefit.((t.k * v) + q) + w;
+        for q = 0 to k - 1 do
+          if q <> p && pins_on.(base + q) = s - 1 then begin
+            t.benefit.((k * v) + q) <- t.benefit.((k * v) + q) + w;
             match on_delta with
             | Some f when v <> silent -> f v q w
             | Some _ | None -> ()
@@ -80,128 +51,86 @@ let add_net_terms ?on_delta ?(silent = -1) t e sign =
     done
   end
 
-let retract_net ?on_delta ?silent t e =
-  add_net_terms ?on_delta ?silent t e (-1);
-  if t.spans.(e) >= 2 then t.cut <- t.cut - t.g.net_weight.(e)
-
-(* Recount [e]'s per-part pins from its live pin list, then re-derive the
-   span count, cut term and gain contributions. *)
-let rederive_net ?on_delta ?silent t e =
-  let base = t.k * e in
-  for q = 0 to t.k - 1 do
-    t.pins_on.(base + q) <- 0
-  done;
-  let pins = t.g.net_pins.(e) in
-  for i = 0 to t.g.net_size.(e) - 1 do
-    let slot = base + t.side.(pins.(i)) in
-    t.pins_on.(slot) <- t.pins_on.(slot) + 1
-  done;
-  let spans = ref 0 in
-  for q = 0 to t.k - 1 do
-    if t.pins_on.(base + q) > 0 then incr spans
-  done;
-  t.spans.(e) <- !spans;
-  if !spans >= 2 then t.cut <- t.cut + t.g.net_weight.(e);
-  add_net_terms ?on_delta ?silent t e 1
-
-let create g ~k ~members side =
+let create kp =
+  let g = Kp.graph kp in
   let n = Array.length g.mod_deg and m = Array.length g.net_size in
   let t =
     {
-      g;
-      k;
-      side;
-      pins_on = Array.make (k * m) 0;
-      spans = Array.make m 0;
-      part_areas = Array.make k 0;
+      kp;
       penalty = Array.make n 0;
-      benefit = Array.make (k * n) 0;
-      cut = 0;
+      benefit = Array.make (Kp.k kp * n) 0;
       net_stamp = Array.make m 0;
       touched = Array.make m 0;
       stamp = 0;
     }
   in
-  Array.iter
-    (fun v -> t.part_areas.(side.(v)) <- t.part_areas.(side.(v)) + g.areas.(v))
-    members;
   for e = 0 to m - 1 do
-    rederive_net t e
+    add_net_terms t e 1
   done;
   t
 
-let k t = t.k
-let side t v = t.side.(v)
-let side_array t = t.side
-let cut t = t.cut
-let part_areas t = t.part_areas
-let area t v = t.g.areas.(v)
-let gain t v q = t.benefit.((t.k * v) + q) - t.penalty.(v)
-
-(* Reassign [v] and its area; the caller retracts and re-derives its nets. *)
-let relocate t v q =
-  let p = t.side.(v) and a = t.g.areas.(v) in
-  t.side.(v) <- q;
-  t.part_areas.(p) <- t.part_areas.(p) - a;
-  t.part_areas.(q) <- t.part_areas.(q) + a
+let partition t = t.kp
+let gain t v q = t.benefit.((Kp.k t.kp * v) + q) - t.penalty.(v)
 
 let move ?on_delta t v q =
-  if t.side.(v) <> q then begin
-    let nets = t.g.mod_nets.(v) and deg = t.g.mod_deg.(v) in
+  if Kp.side t.kp v <> q then begin
+    let g = Kp.graph t.kp in
+    let nets = g.mod_nets.(v) and deg = g.mod_deg.(v) in
     for i = 0 to deg - 1 do
-      retract_net ?on_delta ~silent:v t nets.(i)
+      add_net_terms ?on_delta ~silent:v t nets.(i) (-1)
     done;
-    relocate t v q;
+    Kp.move t.kp v q;
     for i = 0 to deg - 1 do
-      rederive_net ?on_delta ~silent:v t nets.(i)
+      add_net_terms ?on_delta ~silent:v t nets.(i) 1
     done
   end
 
 (* Cached terms are a function of the assignment and the live structure
-   alone, so one retraction before all the moves and one re-derivation
-   after them leave every entry as the moves one by one would. *)
+   alone, so one retraction before all the moves and one addition after
+   them leave every entry as the moves one by one would. *)
 let restore t vs from len =
+  let g = Kp.graph t.kp in
   t.stamp <- t.stamp + 1;
   let touched = ref 0 in
   for i = 0 to len - 1 do
     let v = vs.(i) in
-    let nets = t.g.mod_nets.(v) in
-    for j = 0 to t.g.mod_deg.(v) - 1 do
+    let nets = g.mod_nets.(v) in
+    for j = 0 to g.mod_deg.(v) - 1 do
       let e = nets.(j) in
       if t.net_stamp.(e) <> t.stamp then begin
         t.net_stamp.(e) <- t.stamp;
-        retract_net t e;
+        add_net_terms t e (-1);
         t.touched.(!touched) <- e;
         incr touched
       end
     done
   done;
   for i = 0 to len - 1 do
-    relocate t vs.(i) from.(vs.(i))
+    Kp.move t.kp vs.(i) from.(vs.(i))
   done;
   for i = 0 to !touched - 1 do
-    rederive_net t t.touched.(i)
+    add_net_terms t t.touched.(i) 1
   done
-
-let activate t v ~part = t.side.(v) <- part
 
 (* [u]'s pin in [e] becomes [v], which sits in [u]'s part: the pin counts,
    the span and the cut stay as they are, and [u]'s terms from [e] pass
    to [v]. *)
 let rename_pin t e ~u ~v =
-  let s = t.g.net_size.(e) in
+  let g = Kp.graph t.kp in
+  let s = g.net_size.(e) in
   if s <= net_threshold then begin
-    let w = t.g.net_weight.(e) and base = t.k * e and p = t.side.(u) in
-    let own = t.pins_on.(base + p) in
+    let k = Kp.k t.kp and pins_on = Kp.pins_on_store t.kp in
+    let w = g.net_weight.(e) and base = k * e and p = Kp.side t.kp u in
+    let own = pins_on.(base + p) in
     if own = s then begin
       t.penalty.(u) <- t.penalty.(u) - w;
       t.penalty.(v) <- t.penalty.(v) + w
     end;
     if own = 1 then
-      for q = 0 to t.k - 1 do
-        if q <> p && t.pins_on.(base + q) = s - 1 then begin
-          t.benefit.((t.k * u) + q) <- t.benefit.((t.k * u) + q) - w;
-          t.benefit.((t.k * v) + q) <- t.benefit.((t.k * v) + q) + w
+      for q = 0 to k - 1 do
+        if q <> p && pins_on.(base + q) = s - 1 then begin
+          t.benefit.((k * u) + q) <- t.benefit.((k * u) + q) - w;
+          t.benefit.((k * v) + q) <- t.benefit.((k * v) + q) + w
         end
       done
   end
@@ -213,47 +142,36 @@ let rename_pin t e ~u ~v =
    append exactly when it did before.  So three things change: [v] takes
    the penalty if the net lay wholly in [p], [u]'s benefit terms lapse if
    it was [p]'s only pin, and a net that outgrows the gain threshold
-   retracts all its terms. *)
+   retracts all its terms.  The partition then counts the new pin. *)
 let append_pin t e ~u ~v =
-  let s = t.g.net_size.(e) in
-  let base = t.k * e and p = t.side.(u) in
+  let g = Kp.graph t.kp in
+  let s = g.net_size.(e) in
   if s = net_threshold then add_net_terms t e (-1)
   else if s < net_threshold then begin
-    let w = t.g.net_weight.(e) in
-    let own = t.pins_on.(base + p) in
+    let k = Kp.k t.kp and pins_on = Kp.pins_on_store t.kp in
+    let w = g.net_weight.(e) and base = k * e and p = Kp.side t.kp u in
+    let own = pins_on.(base + p) in
     if own = s then t.penalty.(v) <- t.penalty.(v) + w;
     if own = 1 then
-      for q = 0 to t.k - 1 do
-        if q <> p && t.pins_on.(base + q) = s - 1 then
-          t.benefit.((t.k * u) + q) <- t.benefit.((t.k * u) + q) - w
+      for q = 0 to k - 1 do
+        if q <> p && pins_on.(base + q) = s - 1 then
+          t.benefit.((k * u) + q) <- t.benefit.((k * u) + q) - w
       done
   end;
-  t.pins_on.(base + p) <- t.pins_on.(base + p) + 1
+  Kp.add_pin t.kp e v
 
 let recompute_gain t v q =
-  let p = t.side.(v) in
+  let g = Kp.graph t.kp in
+  let p = Kp.side t.kp v in
   let total = ref 0 in
-  for i = 0 to t.g.mod_deg.(v) - 1 do
-    let e = t.g.mod_nets.(v).(i) in
-    let s = t.g.net_size.(e) in
+  for i = 0 to g.mod_deg.(v) - 1 do
+    let e = g.mod_nets.(v).(i) in
+    let s = g.net_size.(e) in
     if s <= net_threshold then begin
-      let w = t.g.net_weight.(e) in
-      let base = t.k * e in
-      if t.pins_on.(base + p) = s then total := !total - w;
-      if t.pins_on.(base + p) = 1 && t.pins_on.(base + q) = s - 1 then
-        total := !total + w
+      let w = g.net_weight.(e) in
+      let own = Kp.pins_on t.kp e p in
+      if own = s then total := !total - w;
+      if own = 1 && Kp.pins_on t.kp e q = s - 1 then total := !total + w
     end
-  done;
-  !total
-
-let recompute_cut t =
-  let total = ref 0 in
-  for e = 0 to Array.length t.g.net_size - 1 do
-    let base = t.k * e in
-    let spans = ref 0 in
-    for q = 0 to t.k - 1 do
-      if t.pins_on.(base + q) > 0 then incr spans
-    done;
-    if !spans >= 2 then total := !total + t.g.net_weight.(e)
   done;
   !total

@@ -57,8 +57,6 @@ let ensure_arena a n k =
 (* ---- The k-way FM pass ---- *)
 
 type source = {
-  side : int array;
-  part_area : int array;
   gain : int -> int -> int;
   move : (int -> int -> int -> unit) -> int -> int -> unit;
   undo : int array -> int array -> int -> unit;
@@ -70,9 +68,10 @@ type source = {
    (p, q) order; a direction whose balance budget is below the smallest
    module area is skipped unwalked.  A candidate encodes module [v] and
    target [q] as [(v * k) + q]. *)
-let refine ?fixed ?(max_passes = max_int) ~max_gain a rng h ~k
-    (bounds : Kpartition.bounds) src =
-  let n = H.num_modules h in
+let refine ?fixed ?(max_passes = max_int) ~max_gain a rng
+    (bounds : Kpartition.bounds) kp src =
+  let k = Kpartition.k kp and areas = (Kpartition.graph kp).areas in
+  let n = Array.length areas in
   ensure_arena a n k;
   (* One split per direction bucket in ascending (p * k + q) order: LIFO
      buckets never draw, but the splits advance the caller's generator. *)
@@ -81,8 +80,9 @@ let refine ?fixed ?(max_passes = max_int) ~max_gain a rng h ~k
       ~min_gain:(-max_gain) ~max_gain ~capacity:n a.buckets.(i)
   done;
   let { locked; order; from; tail; buckets } = a in
-  let side = src.side and part_area = src.part_area in
-  let areas = H.areas_store h and min_area = H.min_area h in
+  let side = Kpartition.side_store kp in
+  let part_area = Kpartition.areas_store kp in
+  let min_area = Array.fold_left Int.min max_int areas in
   let budget = ref 0 and chosen_gain = ref 0 in
   (* [Kpartition.move_is_feasible] for a module of the direction being
      walked: it sits in the source part, so only its area is tested. *)
@@ -298,10 +298,8 @@ let run ?(config = default) ?init ?fixed ?arena rng h ~k =
     }
   in
   ignore
-    (refine ?fixed ~max_gain st.arena rng h ~k bounds
+    (refine ?fixed ~max_gain st.arena rng bounds kp
        {
-         side = st.side;
-         part_area = Kpartition.areas_store kp;
          gain = current_gain st;
          move = (fun _report v q -> apply_move st v q);
          undo =

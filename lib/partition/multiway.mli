@@ -59,19 +59,19 @@ val cut_of : Mlpart_hypergraph.Hypergraph.t -> k:int -> int array -> int
 (** {1 The k-way FM pass}
 
     {!run} refines with the pass below over its own gains; the n-level
-    engine polishes with it over its gain cache.  Any gain source that can
+    engine polishes with it over its gain cache.  Both sources move the
+    modules of one {!Kpartition.t}, which the pass reads the assignment,
+    the part and module areas and [k] from.  Any gain source that can
     report its changes plugs in. *)
 
 type source = {
-  side : int array;  (** live part of each module *)
-  part_area : int array;  (** live area of each part *)
   gain : int -> int -> int;  (** [gain v q]: gain of moving [v] to part [q] *)
   move : (int -> int -> int -> unit) -> int -> int -> unit;
-      (** [move report v q] moves [v] to part [q] (updating [side] and
-          [part_area]) and calls [report w r d] for each other module [w]
-          whose [gain w r] changed by [d].  Deltas may be split into
-          several reports; their order steers the LIFO buckets, so it is
-          part of the answer. *)
+      (** [move report v q] moves [v] to part [q] in the pass's partition
+          and calls [report w r d] for each other module [w] whose
+          [gain w r] changed by [d].  Deltas may be split into several
+          reports; their order steers the LIFO buckets, so it is part of
+          the answer. *)
   undo : int array -> int array -> int -> unit;
       (** [undo vs from len] rolls back a pass's tail of [len] moves in one
           call: each module [vs.(i)], [i < len], listed latest move first,
@@ -86,15 +86,14 @@ val refine :
   max_gain:int ->
   arena ->
   Mlpart_util.Rng.t ->
-  Mlpart_hypergraph.Hypergraph.t ->
-  k:int ->
   Kpartition.bounds ->
+  Kpartition.t ->
   source ->
   int * int
-(** [refine ~max_gain arena rng h ~k bounds src] runs best-prefix passes
+(** [refine ~max_gain arena rng bounds kp src] runs best-prefix passes
     over [src] (Sanchis k-way FM with one LIFO bucket per direction) until
     one gains nothing or [max_passes] (default unbounded) have run, and
-    returns [(passes, moves)].  Every move leaves its source part at or
-    above [bounds.lo] and its target at or below [bounds.hi]; module areas
-    are [h]'s.  Gains must lie within [±max_gain].  [fixed] modules never
-    move.  Draws [k * k] generators from [rng]. *)
+    returns [(passes, moves)].  [src] moves the modules of [kp].  Every
+    move leaves its source part at or above [bounds.lo] and its target at
+    or below [bounds.hi].  Gains must lie within [±max_gain].  [fixed]
+    modules never move.  Draws [k * k] generators from [rng]. *)

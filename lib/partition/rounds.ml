@@ -14,46 +14,25 @@ let h_round_moves =
 type result = { moved : int; rounds : int; gain : int }
 
 let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
-    ~bounds h side =
+    ~bounds bp =
+  let h = Bipartition.hypergraph bp in
   let n = H.num_modules h in
   let m = H.num_nets h in
-  if Array.length side <> n then invalid_arg "Rounds.run: side length mismatch";
   let noff = H.net_offsets_store h
-  and pins = H.net_pins_store h
   and wts = H.net_weights_store h
   and moff = H.mod_offsets_store h
   and mnets = H.mod_nets_store h
   and areas = H.areas_store h in
   let has_fixed = Option.is_some fixed in
   let fixed = match fixed with Some f -> f | None -> [||] in
-  (* Frozen-snapshot state, rebuilt incrementally as rounds commit. *)
-  let pins_on = Array.make (2 * m) 0 in
-  let recount_range ~slot:_ ~lo ~hi =
-    for e = lo to hi - 1 do
-      let off = noff.(e) and stop = noff.(e + 1) in
-      let c1 = ref 0 in
-      for i = off to stop - 1 do
-        if side.(pins.(i)) = 1 then incr c1
-      done;
-      pins_on.(2 * e) <- stop - off - !c1;
-      pins_on.((2 * e) + 1) <- !c1
-    done
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 -> Pool.parallel_chunks p ~n:m ~body:recount_range
-  | _ -> recount_range ~slot:0 ~lo:0 ~hi:m);
-  let a0 = ref 0 in
-  for v = 0 to n - 1 do
-    if side.(v) = 0 then a0 := !a0 + areas.(v)
-  done;
+  (* The partition is the frozen snapshot: scoring reads its sides and pin
+     counts, and only the sequential commit writes them. *)
+  let side = Bipartition.side_store bp
+  and pins_on = Bipartition.pins_on_store bp in
   (* A move is admissible if the new side-0 area is in bounds, or strictly
      closer to the bounds interval than before (lets rounds help repair a
      projected solution whose slack shrank at this level). *)
-  let violation a =
-    if a < bounds.Bipartition.lo then bounds.Bipartition.lo - a
-    else if a > bounds.Bipartition.hi then a - bounds.Bipartition.hi
-    else 0
-  in
+  let distance a0 = abs (Bipartition.excess bounds a0) in
   let gain = Array.make n 0 in
   (* FM gain of [v] from the frozen snapshot, module-centric so ranges of
      modules are scored in parallel without write contention. *)
@@ -118,17 +97,13 @@ let run ?pool ?fixed ?(net_threshold = max_int) ?(max_rounds = max_int)
         incr i
       done;
       if !i = stop then begin
-        let s = side.(v) in
-        let a0' = if s = 0 then !a0 - areas.(v) else !a0 + areas.(v) in
-        if violation a0' = 0 || violation a0' < violation !a0 then begin
-          side.(v) <- 1 - s;
-          a0 := a0';
+        let a0 = Bipartition.area_of_side bp 0 in
+        let a0' = if side.(v) = 0 then a0 - areas.(v) else a0 + areas.(v) in
+        if distance a0' = 0 || distance a0' < distance a0 then begin
           for i = first to stop - 1 do
-            let e = mnets.(i) in
-            net_epoch.(e) <- ep;
-            pins_on.((2 * e) + s) <- pins_on.((2 * e) + s) - 1;
-            pins_on.((2 * e) + (1 - s)) <- pins_on.((2 * e) + (1 - s)) + 1
+            net_epoch.(mnets.(i)) <- ep
           done;
+          Bipartition.move bp v;
           total_gain := !total_gain + gain.(v);
           incr committed
         end

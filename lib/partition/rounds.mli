@@ -30,14 +30,15 @@ val run :
   ?net_threshold:int ->
   ?max_rounds:int ->
   bounds:Bipartition.bounds ->
-  Mlpart_hypergraph.Hypergraph.t ->
-  int array ->
+  Bipartition.t ->
   result
-(** [run ~bounds h side] refines the 0/1 assignment [side] in place.
-    [fixed.(v) >= 0] pins module [v] (it never moves).  Nets larger than
-    [net_threshold] are ignored by gains, as in {!Fm}.  A move must land
-    the side-0 area inside [bounds], or strictly reduce its distance to
-    them (so rounds can help repair a projected solution whose balance
-    slack shrank).  [max_rounds] caps the number of rounds.  [pool]
-    parallelizes the scoring sweeps; the committed move sequence is a pure
-    function of the input for every pool size. *)
+(** [run ~bounds bp] refines [bp] in place: gains read its sides and pin
+    counts, and every commit is a {!Bipartition.move}, so its cut stays
+    exact.  [fixed.(v) >= 0] pins module [v] (it never moves).  Nets
+    larger than [net_threshold] are ignored by gains, as in {!Fm}.  A move
+    must land the side-0 area inside [bounds], or strictly reduce its
+    distance to them ({!Bipartition.excess}), so rounds can help repair a
+    projected solution whose balance slack shrank.  [max_rounds] caps the
+    number of rounds.  [pool] parallelizes the scoring sweeps; the
+    committed move sequence is a pure function of the input for every pool
+    size. *)

@@ -750,7 +750,8 @@ let test_engines_improve_bad_two_cliques_split () =
    a fixed-module closure, and a polymorphic [Array.sort] of the
    candidates by (gain desc, index asc).  It runs sequentially (the pool
    only splits the recount and gain sweeps, whose values are pure).
-   [Rounds.run] must leave the same sides and return the same record. *)
+   [Rounds.run] must leave the same sides and return the same record, and
+   the bipartition it refines must keep an exact cut. *)
 
 module Rounds = Mlpart_partition.Rounds
 
@@ -884,13 +885,16 @@ let prop_rounds_equal_reference =
         reference_rounds ?fixed ?net_threshold ?max_rounds ~bounds h
           expected_side
       in
+      let bp = Bp.create h side in
       let actual =
         if Rng.bool rng then
           Mlpart_util.Pool.with_pool ~jobs:2 (fun pool ->
-              Rounds.run ~pool ?fixed ?net_threshold ?max_rounds ~bounds h side)
-        else Rounds.run ?fixed ?net_threshold ?max_rounds ~bounds h side
+              Rounds.run ~pool ?fixed ?net_threshold ?max_rounds ~bounds bp)
+        else Rounds.run ?fixed ?net_threshold ?max_rounds ~bounds bp
       in
-      actual = expected && side = expected_side)
+      actual = expected
+      && Bp.side_array bp = expected_side
+      && Bp.cut bp = Bp.recompute_cut bp)
 
 let () =
   Alcotest.run "fm-engines"

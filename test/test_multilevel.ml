@@ -840,12 +840,14 @@ let big_net_instance rng =
    the rating allows, put the coarse modules in random parts, and replay
    the trail one step at a time with a cache riding along.  After every
    step, each alive module's cached gain to every other part equals a
-   sweep of its nets, and the cached cut equals both the cache's span
-   recount and a recount over the live pins. *)
+   sweep of its nets, the partition's pin counts, spans and cut equal a
+   recount over the live pins, and the cut equals a recount of cut nets
+   over the live pins. *)
 let prop_nlevel_cache_through_uncontraction =
   QCheck.Test.make ~name:"cache exact through uncontraction" ~count:40
     QCheck.small_int (fun seed ->
       let module Gc = Mlpart_partition.Gain_cache in
+      let module Kp = Mlpart_partition.Kpartition in
       let rng = Rng.create (seed + 9000) in
       let h =
         if seed mod 5 = 0 then big_net_instance rng else reference_instance rng
@@ -859,31 +861,32 @@ let prop_nlevel_cache_through_uncontraction =
       let side = Array.make n 0 in
       Array.iter (fun v -> side.(v) <- Rng.int rng k) members;
       let g = Nlevel.graph hy in
-      let cache = Gc.create g ~k ~members side in
+      let kp = Kp.of_graph g ~k ~members side in
+      let cache = Gc.create kp in
       let live_cut () =
         let total = ref 0 in
-        for e = 0 to Array.length g.Gc.net_size - 1 do
-          let pins = g.Gc.net_pins.(e) in
-          let first = Gc.side cache pins.(0) in
+        for e = 0 to Array.length g.Kp.net_size - 1 do
+          let pins = g.Kp.net_pins.(e) in
+          let first = Kp.side kp pins.(0) in
           let cut = ref false in
-          for j = 1 to g.Gc.net_size.(e) - 1 do
-            if Gc.side cache pins.(j) <> first then cut := true
+          for j = 1 to g.Kp.net_size.(e) - 1 do
+            if Kp.side kp pins.(j) <> first then cut := true
           done;
-          if !cut then total := !total + g.Gc.net_weight.(e)
+          if !cut then total := !total + g.Kp.net_weight.(e)
         done;
         !total
       in
       let check_exact step =
-        if Gc.cut cache <> Gc.recompute_cut cache then
-          QCheck.Test.fail_reportf "step %d: cached cut %d, span recount %d"
-            step (Gc.cut cache) (Gc.recompute_cut cache);
-        if Gc.cut cache <> live_cut () then
+        (match Mlpart_check.Laws.kpartition_recount kp with
+        | Some msg -> QCheck.Test.fail_reportf "step %d: %s" step msg
+        | None -> ());
+        if Kp.cut kp <> live_cut () then
           QCheck.Test.fail_reportf "step %d: cached cut %d, live recount %d"
-            step (Gc.cut cache) (live_cut ());
+            step (Kp.cut kp) (live_cut ());
         for v = 0 to n - 1 do
           if Nlevel.is_alive hy v then
             for q = 0 to k - 1 do
-              if q <> Gc.side cache v then begin
+              if q <> Kp.side kp v then begin
                 let cached = Gc.gain cache v q
                 and fresh = Gc.recompute_gain cache v q in
                 if cached <> fresh then

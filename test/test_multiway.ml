@@ -113,16 +113,13 @@ let test_max_passes () =
   let k = 4 in
   let start = Kp.side_array (Kp.random (Rng.create 25) h ~k) in
   let passes ?max_passes () =
-    let members = Array.init (H.num_modules h) Fun.id in
-    let g = Gc.graph_of_hypergraph h in
-    let c = Gc.create g ~k ~members (Array.copy start) in
+    let c = Gc.create (Kp.create h ~k start) in
     fst
       (Mw.refine ?max_passes ~max_gain:(H.max_weighted_degree h)
-         (Mw.create_arena ()) (Rng.create 26) h ~k (Kp.bounds h ~k)
+         (Mw.create_arena ()) (Rng.create 26) (Kp.bounds h ~k)
+         (Gc.partition c)
          {
-           Mw.side = Gc.side_array c;
-           part_area = Gc.part_areas c;
-           gain = Gc.gain c;
+           Mw.gain = Gc.gain c;
            move = (fun report v q -> Gc.move ~on_delta:report c v q);
            undo = Gc.restore c;
          })

@@ -106,14 +106,6 @@ let test_bp_rebalance () =
   check Alcotest.bool "made moves" true (moves > 0);
   check Alcotest.int "cut still consistent" (Bp.recompute_cut bp) (Bp.cut bp)
 
-let test_bp_copy_isolated () =
-  let h = sample () in
-  let bp = Bp.create h [| 0; 0; 1; 1; 1 |] in
-  let bp' = Bp.copy bp in
-  Bp.move bp 0;
-  check Alcotest.int "copy untouched" 3 (Bp.cut bp');
-  check Alcotest.int "original moved" (Bp.recompute_cut bp) (Bp.cut bp)
-
 let prop_bp_incremental_cut =
   QCheck.Test.make ~name:"cut stays consistent under random move sequences"
     ~count:60
@@ -575,7 +567,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bp_bounds;
           Alcotest.test_case "random balanced" `Quick test_bp_random_balanced;
           Alcotest.test_case "rebalance" `Quick test_bp_rebalance;
-          Alcotest.test_case "copy isolated" `Quick test_bp_copy_isolated;
           qtest prop_bp_incremental_cut;
           qtest prop_bp_gain_is_cut_delta;
         ] );
