@@ -56,6 +56,21 @@ let boundary f =
       print_diag (Diag.error ~source:"" Diag.Invariant "%s" msg);
       exit 4
 
+(* The exit codes every subcommand documents; cmdliner's own usage
+   errors (124) are folded into 2 where [main] is evaluated. *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 2 ~doc:"on command-line usage errors.";
+    Cmd.Exit.info 3 ~doc:"on input parse or I/O errors.";
+    Cmd.Exit.info 4 ~doc:"on hypergraph invariant violations.";
+    Cmd.Exit.info 5
+      ~doc:"when --timeout expired (best-so-far result was still written).";
+    Cmd.Exit.info 6
+      ~doc:"when the serve daemon rejected the request (admission \
+            control); honour retry_after_ms and resubmit.";
+  ]
+
 let usage_fail fmt =
   Printf.ksprintf
     (fun message ->
@@ -99,7 +114,10 @@ let load_hypergraph ?(lenient = false) input seed =
 let input_arg =
   let doc = "Input netlist: a .hgr file, an ACM/SIGDA .net/.netD file (a \
              sibling .are is picked up automatically), or bench:NAME for a \
-             generated stand-in of a Table I circuit (e.g. bench:primary1)." in
+             generated stand-in of a Table I circuit (e.g. bench:primary1). \
+             $(b,--seed) also seeds the stand-in's generator, so a \
+             bench:NAME input differs from seed to seed; the serve \
+             daemon's $(b,--bench) always uses generator seed 1." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT" ~doc)
 
 let seed_arg =
@@ -188,10 +206,9 @@ let engine_arg ~names ~default ~doc =
   Arg.(value & opt (conv (parse, Format.pp_print_string)) default
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-let out_arg =
+let out_arg doc =
   Arg.(value & opt (some string) None
-       & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the part of each module (one integer per line).")
+       & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
 let write_assignment out side =
   match out with
@@ -258,10 +275,16 @@ let bipartition_cmd =
   in
   let term =
     Term.(const run $ input_arg $ seed_arg $ runs_arg $ jobs_arg $ ratio_arg
-          $ threshold_arg $ tolerance_arg $ engine_arg $ out_arg $ lenient_arg
+          $ threshold_arg $ tolerance_arg $ engine_arg
+          $ out_arg "Write the side (0 or 1) of each module to $(docv), one \
+                     per line."
+          $ lenient_arg
           $ timeout_arg $ trace_arg $ metrics_arg)
   in
-  Cmd.v (Cmd.info "bipartition" ~doc:"Min-cut 2-way partitioning (ML algorithm).") term
+  Cmd.v
+    (Cmd.info "bipartition" ~exits
+       ~doc:"Min-cut 2-way partitioning (ML algorithm).")
+    term
 
 let quadrisect_cmd =
   let run input seed runs jobs ratio tolerance gordian out lenient timeout
@@ -288,10 +311,13 @@ let quadrisect_cmd =
   in
   let term =
     Term.(const run $ input_arg $ seed_arg $ runs_arg $ jobs_arg $ ratio_arg
-          $ tolerance_arg $ gordian_arg $ out_arg $ lenient_arg $ timeout_arg
+          $ tolerance_arg $ gordian_arg
+          $ out_arg "Write the quadrant (0 to 3) of each module to $(docv), \
+                     one per line."
+          $ lenient_arg $ timeout_arg
           $ trace_arg $ metrics_arg)
   in
-  Cmd.v (Cmd.info "quadrisect" ~doc:"4-way partitioning.") term
+  Cmd.v (Cmd.info "quadrisect" ~exits ~doc:"4-way partitioning.") term
 
 let kpartition_cmd =
   let run input seed runs jobs k engine tolerance out lenient timeout trace
@@ -321,11 +347,14 @@ let kpartition_cmd =
   in
   let term =
     Term.(const run $ input_arg $ seed_arg $ runs_arg $ jobs_arg $ k_arg
-          $ kengine_arg $ tolerance_arg $ out_arg $ lenient_arg $ timeout_arg
+          $ kengine_arg $ tolerance_arg
+          $ out_arg "Write the part (0 to K-1) of each module to $(docv), \
+                     one per line."
+          $ lenient_arg $ timeout_arg
           $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "kpartition"
+    (Cmd.info "kpartition" ~exits
        ~doc:"Direct k-way partitioning (n-level engine with gain cache, \
              recursive bisection, or level-batched multilevel).")
     term
@@ -377,11 +406,13 @@ let place_cmd =
          & info [ "svg" ] ~docv:"FILE" ~doc:"Render the placement as SVG.")
   in
   let term =
-    Term.(const run $ input_arg $ seed_arg $ leaf_arg $ terminal_arg $ out_arg
+    Term.(const run $ input_arg $ seed_arg $ leaf_arg $ terminal_arg
+          $ out_arg "Write the placement to $(docv): one \"module x y\" \
+                     line per module."
           $ svg_arg $ lenient_arg $ timeout_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "place"
+    (Cmd.info "place" ~exits
        ~doc:"Top-down global placement by recursive ML quadrisection.")
     term
 
@@ -404,11 +435,13 @@ let generate_cmd =
          & info [] ~docv:"CIRCUIT" ~doc:"Table I circuit name (e.g. balu).")
   in
   let term =
-    Term.(const run $ circuit_arg $ seed_arg $ out_arg $ trace_arg
-          $ metrics_arg)
+    Term.(const run $ circuit_arg $ seed_arg
+          $ out_arg "Write the generated netlist to $(docv) in .hgr format \
+                     instead of standard output."
+          $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "generate"
+    (Cmd.info "generate" ~exits
        ~doc:"Emit a synthetic Table I stand-in circuit in .hgr format.")
     term
 
@@ -446,7 +479,8 @@ let evaluate_cmd =
           $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "evaluate" ~doc:"Score a saved part assignment (cut, SOED, areas).")
+    (Cmd.info "evaluate" ~exits
+       ~doc:"Score a saved part assignment (cut, SOED, areas).")
     term
 
 let info_cmd =
@@ -483,7 +517,7 @@ let info_cmd =
     Term.(const run $ input_arg $ seed_arg $ lenient_arg $ check_arg
           $ trace_arg $ metrics_arg)
   in
-  Cmd.v (Cmd.info "info" ~doc:"Print hypergraph statistics.") term
+  Cmd.v (Cmd.info "info" ~exits ~doc:"Print hypergraph statistics.") term
 
 let selfcheck_cmd =
   let module Sc = Mlpart_check.Selfcheck in
@@ -583,7 +617,7 @@ let selfcheck_cmd =
           $ failures_arg $ list_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "selfcheck"
+    (Cmd.info "selfcheck" ~exits
        ~doc:"Run the property-based verification suite: every engine \
              against an exact brute-force oracle plus metamorphic laws \
              over the pipeline.  Failures print one-line replay tokens \
@@ -698,7 +732,7 @@ let serve_cmd =
           $ fault_seed_arg $ fault_rate_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:"Fault-tolerant partitioning daemon: newline-delimited JSON \
              requests over a Unix-domain or TCP socket, with admission \
              control, per-job deadline budgets, crash isolation with \
@@ -814,7 +848,7 @@ let client_cmd =
           $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "client"
+    (Cmd.info "client" ~exits
        ~doc:"Submit one request to a running mlpart serve daemon, print \
              the response line, and exit with the response's documented \
              code (0 ok, 3 failed, 5 degraded, 6 rejected).")
@@ -830,17 +864,6 @@ let setup_logging () =
 let () =
   setup_logging ();
   let doc = "multilevel circuit partitioning (Alpert-Huang-Kahng, DAC 1997)" in
-  let exits =
-    Cmd.Exit.info 0 ~doc:"on success." ::
-    Cmd.Exit.info 2 ~doc:"on command-line usage errors." ::
-    Cmd.Exit.info 3 ~doc:"on input parse or I/O errors." ::
-    Cmd.Exit.info 4 ~doc:"on hypergraph invariant violations." ::
-    Cmd.Exit.info 5 ~doc:"when --timeout expired (best-so-far result was \
-                          still written)." ::
-    Cmd.Exit.info 6 ~doc:"when the serve daemon rejected the request \
-                          (admission control); honour retry_after_ms and \
-                          resubmit." :: []
-  in
   let main = Cmd.group (Cmd.info "mlpart" ~doc ~exits)
       [ bipartition_cmd; quadrisect_cmd; kpartition_cmd; place_cmd;
         generate_cmd; evaluate_cmd; info_cmd; selfcheck_cmd; serve_cmd;
