@@ -7,8 +7,8 @@
      main.exe table4 figure4   -- selected experiments
      main.exe kernels          -- Bechamel micro-benchmarks
    Options: --runs N  --seed N  --tier tiny|small|standard|full  --jobs N
-            --json FILE (kernels: machine-readable timings for BENCH_*.json
-            perf tracking across PRs) *)
+            --json FILE (kernels: machine-readable timings and words
+            allocated per run, for BENCH_*.json perf tracking across PRs) *)
 
 module Tables = Mlpart_experiments.Tables
 module Algos = Mlpart_experiments.Algos
@@ -36,7 +36,7 @@ let kernels ?json ~jobs () =
      exercises the sequential paths.  Outputs are bit-identical either
      way — only the timings move. *)
   let pool = if jobs > 1 then Some (Mlpart_util.Pool.get ~jobs) else None in
-  let stage name f = Test.make ~name (Staged.stage f) in
+  let kernel name f = (name, f) in
   let engine ?(k = 2) algo h () =
     ignore (algo.Algos.run ~tolerance:0.1 (Rng.split rng) h ~k)
   in
@@ -55,68 +55,92 @@ let kernels ?json ~jobs () =
         .Mlpart_partition.Fm.side
     in
     let arena = Mlpart_partition.Fm.create_arena ~h:balu () in
-    stage "phases/refine" (fun () ->
+    kernel "phases/refine" (fun () ->
         ignore (Ml.refine_up c ?pool ~arena (Rng.split rng) hier coarse))
   in
+  let kernels =
+    [
+      (* Table II kernel: one FM run with LIFO buckets. *)
+      kernel "table2/fm-lifo" (engine Algos.flat_fm balu);
+      (* Table III kernel: one CLIP run. *)
+      kernel "table3/clip" (engine Algos.flat_clip balu);
+      (* Table IV kernel: one multilevel MLc run at R = 1, with the
+         domain pool threaded into the run itself. *)
+      kernel "table4/mlc" (fun () ->
+          ignore
+            (Ml.run ~config:(Ml.with_ratio Ml.mlc 1.0) ?pool (Rng.split rng)
+               balu));
+      (* Tables V/VI kernel: slow coarsening (R = 0.33). *)
+      kernel "table5_6/mlc-r0.33" (engine (Algos.mlc 0.33) balu);
+      (* Table VII kernel: lookahead engine. *)
+      kernel "table7/cl-la3f" (engine Algos.cl_la3f balu);
+      (* Table VIII kernel: PROP engine (the heap-based slowdown). *)
+      kernel "table8/cl-prf" (engine Algos.cl_prf balu);
+      (* Table IX kernel: multilevel quadrisection. *)
+      kernel "table9/ml-4way" (engine ~k:4 (Algos.multiway 1.0) primary1);
+      (* Figure 4 kernel: Match coarsening at R = 0.5. *)
+      kernel "figure4/match" (fun () ->
+          ignore
+            (Mlpart_multilevel.Match.run ?pool (Rng.split rng) primary1
+               ~ratio:0.5));
+      (* Extras kernels. *)
+      kernel "extras/eig" (fun () ->
+          ignore (Mlpart_placement.Spectral.run balu));
+      kernel "extras/rb4" (fun () ->
+          ignore (Mlpart_multilevel.Rb.run ?pool (Rng.split rng) balu ~k:4));
+      (* n-level kernels: one-pair-at-a-time contraction with the
+         persistent gain cache, racing the level-batched engines above
+         (extras/rb4, table9/ml-4way) on the same Table IX workloads. *)
+      kernel "nlevel/balu-2way" (fun () ->
+          ignore (Mlpart_multilevel.Nlevel.run (Rng.split rng) balu ~k:2));
+      kernel "nlevel/primary1-4way" (fun () ->
+          ignore
+            (Mlpart_multilevel.Nlevel.run (Rng.split rng) primary1 ~k:4));
+      (* The op of benchv2's kway workload, without process start-up:
+         primary2 under generator seed 1, three parts. *)
+      kernel "nlevel/primary2-3way" (fun () ->
+          ignore
+            (Mlpart_multilevel.Nlevel.run (Rng.split rng) primary2 ~k:3));
+      kernel "extras/topdown-place" (fun () ->
+          ignore (Mlpart_placement.Topdown.run (Rng.split rng) balu));
+      (* Phase kernel: uncoarsening refinement sweep alone. *)
+      refine_kernel;
+      (* Substrate kernels. *)
+      kernel "substrate/induce" (fun () ->
+          let cluster_of, _ =
+            Mlpart_multilevel.Match.run ?pool (Rng.split rng) primary1
+              ~ratio:1.0
+          in
+          ignore
+            (Mlpart_hypergraph.Hypergraph.induce ?pool primary1 cluster_of));
+      kernel "substrate/gordian-cg" (fun () ->
+          ignore (Mlpart_placement.Gordian.run balu));
+    ]
+  in
+  (* Allocation per run, from a few runs of each kernel before the timing,
+     while the kernels' shared generator is in the same state in every
+     build, so the counts repeat exactly: minor words from
+     [Gc.minor_words] (the minor counts of [Gc.quick_stat] lag until the
+     next minor collection), and major words (direct major allocations
+     plus promotions) from [Gc.quick_stat] across a minor collection on
+     each side.  Only the calling domain's allocation is counted, which is
+     all of it at --jobs 1. *)
+  let alloc_runs = 3 in
+  let words f =
+    let major () = (Gc.quick_stat ()).Gc.major_words in
+    Gc.minor ();
+    let minor0 = Gc.minor_words () and major0 = major () in
+    for _ = 1 to alloc_runs do
+      f ()
+    done;
+    Gc.minor ();
+    let per_run w0 w1 = (w1 -. w0) /. float_of_int alloc_runs in
+    (per_run minor0 (Gc.minor_words ()), per_run major0 (major ()))
+  in
+  let alloc = List.map (fun (_, f) -> words f) kernels in
   let tests =
     Test.make_grouped ~name:"kernels"
-      [
-        (* Table II kernel: one FM run with LIFO buckets. *)
-        stage "table2/fm-lifo" (engine Algos.flat_fm balu);
-        (* Table III kernel: one CLIP run. *)
-        stage "table3/clip" (engine Algos.flat_clip balu);
-        (* Table IV kernel: one multilevel MLc run at R = 1, with the
-           domain pool threaded into the run itself. *)
-        stage "table4/mlc" (fun () ->
-            ignore
-              (Ml.run ~config:(Ml.with_ratio Ml.mlc 1.0) ?pool (Rng.split rng)
-                 balu));
-        (* Tables V/VI kernel: slow coarsening (R = 0.33). *)
-        stage "table5_6/mlc-r0.33" (engine (Algos.mlc 0.33) balu);
-        (* Table VII kernel: lookahead engine. *)
-        stage "table7/cl-la3f" (engine Algos.cl_la3f balu);
-        (* Table VIII kernel: PROP engine (the heap-based slowdown). *)
-        stage "table8/cl-prf" (engine Algos.cl_prf balu);
-        (* Table IX kernel: multilevel quadrisection. *)
-        stage "table9/ml-4way" (engine ~k:4 (Algos.multiway 1.0) primary1);
-        (* Figure 4 kernel: Match coarsening at R = 0.5. *)
-        stage "figure4/match" (fun () ->
-            ignore
-              (Mlpart_multilevel.Match.run ?pool (Rng.split rng) primary1
-                 ~ratio:0.5));
-        (* Extras kernels. *)
-        stage "extras/eig" (fun () ->
-            ignore (Mlpart_placement.Spectral.run balu));
-        stage "extras/rb4" (fun () ->
-            ignore (Mlpart_multilevel.Rb.run ?pool (Rng.split rng) balu ~k:4));
-        (* n-level kernels: one-pair-at-a-time contraction with the
-           persistent gain cache, racing the level-batched engines above
-           (extras/rb4, table9/ml-4way) on the same Table IX workloads. *)
-        stage "nlevel/balu-2way" (fun () ->
-            ignore (Mlpart_multilevel.Nlevel.run (Rng.split rng) balu ~k:2));
-        stage "nlevel/primary1-4way" (fun () ->
-            ignore
-              (Mlpart_multilevel.Nlevel.run (Rng.split rng) primary1 ~k:4));
-        (* The op of benchv2's kway workload, without process start-up:
-           primary2 under generator seed 1, three parts. *)
-        stage "nlevel/primary2-3way" (fun () ->
-            ignore
-              (Mlpart_multilevel.Nlevel.run (Rng.split rng) primary2 ~k:3));
-        stage "extras/topdown-place" (fun () ->
-            ignore (Mlpart_placement.Topdown.run (Rng.split rng) balu));
-        (* Phase kernel: uncoarsening refinement sweep alone. *)
-        refine_kernel;
-        (* Substrate kernels. *)
-        stage "substrate/induce" (fun () ->
-            let cluster_of, _ =
-              Mlpart_multilevel.Match.run ?pool (Rng.split rng) primary1
-                ~ratio:1.0
-            in
-            ignore
-              (Mlpart_hypergraph.Hypergraph.induce ?pool primary1 cluster_of));
-        stage "substrate/gordian-cg" (fun () ->
-            ignore (Mlpart_placement.Gordian.run balu));
-      ]
+      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) kernels)
   in
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None ()
@@ -133,12 +157,17 @@ let kernels ?json ~jobs () =
       | Some [ ns ] -> rows := (name, ns) :: !rows
       | Some _ | None -> ())
     results;
+  let alloc_of = List.combine (Test.names tests) alloc in
   let rows =
     List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
+    |> List.map (fun (name, ns) -> (name, ns, List.assoc name alloc_of))
   in
-  Printf.printf "\nBechamel kernels (monotonic clock):\n";
+  Printf.printf
+    "\nBechamel kernels (monotonic clock; words allocated per run):\n";
   List.iter
-    (fun (name, ns) -> Printf.printf "  %-28s %12.0f ns/run\n" name ns)
+    (fun (name, ns, (minor, major)) ->
+      Printf.printf "  %-28s %12.0f ns/run %12.0f minor %10.0f major\n" name
+        ns minor major)
     rows;
   match json with
   | None -> ()
@@ -193,10 +222,13 @@ let kernels ?json ~jobs () =
       Buffer.add_string buf "  \"kernels\": [\n";
       let last = List.length rows - 1 in
       List.iteri
-        (fun i (name, ns) ->
+        (fun i (name, ns, (minor, major)) ->
           Buffer.add_string buf
-            (Printf.sprintf "    {\"name\": %S, \"ns_per_run\": %.1f}%s\n" name
-               ns
+            (Printf.sprintf
+               "    {\"name\": %S, \"ns_per_run\": %.1f, \
+                \"minor_words_per_run\": %.0f, \"major_words_per_run\": \
+                %.0f}%s\n"
+               name ns minor major
                (if i = last then "" else ",")))
         rows;
       Buffer.add_string buf "  ],\n";
