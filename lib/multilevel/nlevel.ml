@@ -32,9 +32,20 @@ let initial_starts = 4
    which keeps every uncontraction step cheap. *)
 let local_moves_cap = 32
 
-(* Passes of the final FM polish; the localized refinement already did
-   most of the work. *)
+(* At most this many passes of the final FM polish: the localized
+   refinement already did most of the work, and each pass ends early
+   ([polish_streak]). *)
 let polish_passes = 4
+
+(* A polish pass on [n] modules ends after this many consecutive moves
+   that do not beat its best prefix.  Run to the end, the passes rolled
+   back 7,557 of the 8,600 moves they committed on primary2 at k = 3.  At
+   k >= 3 the longest fruitless streak that still ended in a new best was
+   at most 0.15 n over seeds 1-8 of the Small tier and industry2, and
+   reached this limit in 4 of those 288 runs (DESIGN.md §12).  The floor
+   keeps every netlist of at most 200 modules on full passes.  At k = 2
+   such streaks reach n - 3, so 2-way cuts can rise. *)
+let polish_streak n = Stdlib.max 200 (n / 8)
 
 type result = { side : int array; cut : int; contractions : int; moves : int }
 
@@ -299,14 +310,15 @@ let coarse_snapshot hy =
   (H.make ~areas ~nets:(Array.of_list !nets) (), members)
 
 (* Multi-start initial k-way partition of the coarsest snapshot, projected
-   onto the live roots.  Ties keep the earliest start. *)
-let initial_partition ~tolerance rng hy side ~k =
+   onto the live roots.  Ties keep the earliest start.  [Multistart.best]
+   runs the starts one after another (no pool), so they share [arena]. *)
+let initial_partition ~tolerance arena rng hy side ~k =
   let snap, members = coarse_snapshot hy in
   let config = { Multiway.objective = Multiway.Net_cut; tolerance } in
   let r, _ =
     Multistart.best ~starts:initial_starts
       ~cut:(fun r -> r.Multiway.cut)
-      (fun rng -> Multiway.run ~config rng snap ~k)
+      (fun rng -> Multiway.run ~config ~arena rng snap ~k)
       rng
   in
   Array.iteri (fun i v -> side.(v) <- r.Multiway.side.(i)) members;
@@ -407,13 +419,13 @@ let local_refine cache act bounds u v =
    the finest-level bounds: when the polish ends with a part outside them,
    the best moves out of overfull parts or into underfull ones (each within
    its budget, so it never pushes another part out) restore them, and a
-   second polish follows.  Returns (passes, moves). *)
-let polish cache act rng h bounds =
+   second polish follows.  Returns the passes' totals, whose [moves] count
+   the repairs too. *)
+let polish cache act arena rng h bounds =
   let kp = Cache.partition cache in
   let n = H.num_modules h and k = Kpartition.k kp in
-  let arena = Multiway.create_arena () in
   let pass () =
-    Multiway.refine ~max_passes:polish_passes
+    Multiway.refine ~max_passes:polish_passes ~early_exit:(polish_streak n)
       ~max_gain:(Stdlib.max 1 (H.max_weighted_degree h))
       arena rng bounds kp
       {
@@ -422,9 +434,9 @@ let polish cache act rng h bounds =
         undo = Cache.restore cache;
       }
   in
-  let passes, moves = pass () in
+  let first = pass () in
   let excess p = Kpartition.excess bounds (Kpartition.area_of_part kp p) in
-  if Kpartition.is_balanced kp bounds then (passes, moves)
+  if Kpartition.is_balanced kp bounds then first
   else begin
     reset_active act (Array.init n Fun.id);
     let repairs =
@@ -432,8 +444,12 @@ let polish cache act rng h bounds =
         ~open_:(fun p q -> excess p > 0 || excess q < 0)
         ~cap:(n * k)
     in
-    let passes', moves' = pass () in
-    (passes + passes', moves + repairs + moves')
+    let second = pass () in
+    {
+      Multiway.passes = first.passes + second.passes;
+      moves = first.moves + repairs + second.moves;
+      rolled_back = first.rolled_back + second.rolled_back;
+    }
   end
 
 let run ?(tolerance = 0.1) rng h ~k =
@@ -452,7 +468,8 @@ let run ?(tolerance = 0.1) rng h ~k =
       "nlevel/contract" t0;
   Metrics.add m_contractions hy.contractions;
   let side = Array.make n 0 in
-  let members = initial_partition ~tolerance rng hy side ~k in
+  let arena = Multiway.create_arena () in
+  let members = initial_partition ~tolerance arena rng hy side ~k in
   let kp = Kpartition.of_graph hy.g ~k ~members side in
   let cache = Cache.create kp in
   let bounds = Kpartition.bounds ~tolerance h ~k in
@@ -482,16 +499,21 @@ let run ?(tolerance = 0.1) rng h ~k =
       "nlevel/uncontract" t1;
   Metrics.add m_uncontractions !uncontractions;
   let t2 = Trace.start () in
-  let passes, fm_moves = polish cache act rng h bounds in
+  let polished = polish cache act arena rng h bounds in
   if Trace.enabled () then
     Trace.complete ~cat:"nlevel"
-      ~args:[ ("passes", Trace.Int passes); ("moves", Trace.Int fm_moves) ]
+      ~args:
+        [
+          ("passes", Trace.Int polished.passes);
+          ("moves", Trace.Int polished.moves);
+          ("rolled_back", Trace.Int polished.rolled_back);
+        ]
       "nlevel/refine" t2;
   Metrics.incr m_runs;
-  Metrics.add m_moves (!local_moves + fm_moves);
+  Metrics.add m_moves (!local_moves + polished.moves);
   {
     side = Kpartition.side_array kp;
     cut = Kpartition.cut kp;
     contractions = hy.contractions;
-    moves = !local_moves + fm_moves;
+    moves = !local_moves + polished.moves;
   }

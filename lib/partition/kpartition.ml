@@ -67,17 +67,39 @@ let of_graph g ~k ~members side =
   let pins_on, spans, cut, sum_degrees = compute_state g k side in
   { g; k; side; pins_on; spans; part_areas; cut; sum_degrees }
 
-let create h ~k side =
-  let n = H.num_modules h in
-  if k < 2 then invalid_arg "Kpartition.create: k < 2";
-  if Array.length side <> n then invalid_arg "Kpartition.create: length mismatch";
+let check who h ~k side =
+  if k < 2 then invalid_arg (who ^ ": k < 2");
+  if Array.length side <> H.num_modules h then
+    invalid_arg (who ^ ": length mismatch");
   Array.iteri
     (fun v p ->
       if p < 0 || p >= k then
-        invalid_arg (Printf.sprintf "Kpartition.create: part of %d is %d" v p))
-    side;
-  of_graph (graph_of_hypergraph h) ~k ~members:(Array.init n Fun.id)
+        invalid_arg (Printf.sprintf "%s: part of %d is %d" who v p))
+    side
+
+let create h ~k side =
+  check "Kpartition.create" h ~k side;
+  of_graph (graph_of_hypergraph h) ~k
+    ~members:(Array.init (H.num_modules h) Fun.id)
     (Array.copy side)
+
+(* A net is cut iff some pin's part differs from its first pin's. *)
+let cut_of h ~k side =
+  check "Kpartition.cut_of" h ~k side;
+  let noff = H.net_offsets_store h and pins = H.net_pins_store h in
+  let wts = H.net_weights_store h in
+  let cut = ref 0 in
+  for e = 0 to H.num_nets h - 1 do
+    let last = noff.(e + 1) in
+    if noff.(e) < last then begin
+      let p = side.(pins.(noff.(e))) and j = ref (noff.(e) + 1) in
+      while !j < last && side.(pins.(!j)) = p do
+        incr j
+      done;
+      if !j < last then cut := !cut + wts.(e)
+    end
+  done;
+  !cut
 
 let random ?fixed rng h ~k =
   let n = H.num_modules h in

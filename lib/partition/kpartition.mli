@@ -31,6 +31,12 @@ val create : Mlpart_hypergraph.Hypergraph.t -> k:int -> int array -> t
 (** Adopt (copy) a part assignment in [0 .. k-1], over a
     {!graph_of_hypergraph} copy of the netlist. *)
 
+val cut_of : Mlpart_hypergraph.Hypergraph.t -> k:int -> int array -> int
+(** Weighted count of the nets an assignment cuts, read straight off the
+    netlist's CSR: no partition is built.  Like {!create}, raises
+    [Invalid_argument] when [k < 2], the assignment's length is not the
+    module count, or a part lies outside [0 .. k-1]. *)
+
 val of_graph : graph -> k:int -> members:int array -> int array -> t
 (** [of_graph g ~k ~members side] partitions the current live structure
     of [g].  [members] lists the alive modules (for part areas); [side] is

@@ -14,7 +14,7 @@ let net_threshold = Refine_core.net_threshold
 
 type result = { side : int array; cut : int; sum_degrees : int }
 
-let cut_of h ~k side = Kpartition.cut (Kpartition.create h ~k side)
+let cut_of = Kpartition.cut_of
 
 (* Reusable engine scratch, mirroring [Fm.arena]: per-run arrays and the
    k*k direction buckets, grown on demand and reconfigured per run.  A
@@ -62,13 +62,15 @@ type source = {
   undo : int array -> int array -> int -> unit;
 }
 
+type totals = { passes : int; moves : int; rolled_back : int }
+
 (* One LIFO bucket per direction (p, q), keyed by [src.gain] at pass start
    and kept exact by the deltas [src.move] reports.  Each select keeps the
    best feasible head over all k(k-1) directions, ties to the first in
    (p, q) order; a direction whose balance budget is below the smallest
    module area is skipped unwalked.  A candidate encodes module [v] and
    target [q] as [(v * k) + q]. *)
-let refine ?fixed ?(max_passes = max_int) ~max_gain a rng
+let refine ?fixed ?(max_passes = max_int) ?early_exit ~max_gain a rng
     (bounds : Kpartition.bounds) kp src =
   let k = Kpartition.k kp and areas = (Kpartition.graph kp).areas in
   let n = Array.length areas in
@@ -153,9 +155,15 @@ let refine ?fixed ?(max_passes = max_int) ~max_gain a rng
       rebuild = (fun ~first_bad:_ ~kept:_ -> ());
     }
   in
-  Refine_core.drive ~max_passes (fun ~pass:_ ->
-      fill ();
-      Refine_core.run_pass ~order ops)
+  let rolled_back = ref 0 in
+  let passes, moves =
+    Refine_core.drive ~max_passes (fun ~pass:_ ->
+        fill ();
+        let p = Refine_core.run_pass ~order ?early_exit ops in
+        rolled_back := !rolled_back + p.Refine_core.rolled_back;
+        p)
+  in
+  { passes; moves; rolled_back = !rolled_back }
 
 (* ---- Multiway's own gains, over a [Kpartition] ---- *)
 

@@ -54,7 +54,7 @@ val run :
     [arena] supplies reusable scratch; without it the run creates its own. *)
 
 val cut_of : Mlpart_hypergraph.Hypergraph.t -> k:int -> int array -> int
-(** Weighted multi-way cut of an assignment. *)
+(** Weighted multi-way cut of an assignment: {!Kpartition.cut_of}. *)
 
 (** {1 The k-way FM pass}
 
@@ -80,20 +80,30 @@ type source = {
           reported. *)
 }
 
+type totals = {
+  passes : int;
+  moves : int;  (** moves committed, including rolled-back ones *)
+  rolled_back : int;  (** moves undone by the passes' final rollbacks *)
+}
+
 val refine :
   ?fixed:int array ->
   ?max_passes:int ->
+  ?early_exit:int ->
   max_gain:int ->
   arena ->
   Mlpart_util.Rng.t ->
   Kpartition.bounds ->
   Kpartition.t ->
   source ->
-  int * int
+  totals
 (** [refine ~max_gain arena rng bounds kp src] runs best-prefix passes
     over [src] (Sanchis k-way FM with one LIFO bucket per direction) until
     one gains nothing or [max_passes] (default unbounded) have run, and
-    returns [(passes, moves)].  [src] moves the modules of [kp].  Every
+    returns their totals.  [src] moves the modules of [kp].  Every
     move leaves its source part at or above [bounds.lo] and its target at
     or below [bounds.hi].  Gains must lie within [±max_gain].  [fixed]
-    modules never move.  Draws [k * k] generators from [rng]. *)
+    modules never move.  [early_exit] ends a pass after that many
+    consecutive moves that do not beat its best prefix
+    ({!Refine_core.run_pass}); without it a pass runs until no feasible
+    move is left.  Draws [k * k] generators from [rng]. *)

@@ -812,6 +812,18 @@ let test_nlevel_primary2_8way_bounds () =
       Alcotest.failf "seed %d: parts outside the bounds" seed
   done
 
+(* As [mlpart kpartition bench:primary2 -k 3 --seed 1] runs it, the run
+   test/cli.t pins.  Each polish pass ends after a fruitless streak, so
+   the move count pins the stop rule as well as the answer: run to the
+   end, the passes committed 8,600 moves and the run 8,696. *)
+let test_nlevel_primary2_polish_stop () =
+  let h =
+    Mlpart_gen.Suite.instantiate ~seed:1 (Mlpart_gen.Suite.find "primary2")
+  in
+  let r = Nlevel.run (Rng.split (Rng.create 1)) h ~k:3 in
+  check Alcotest.int "cut" 525 r.Nlevel.cut;
+  check Alcotest.int "moves" 2643 r.Nlevel.moves
+
 let test_nlevel_rejects_bad_k () =
   let h = random_instance 56 in
   match Nlevel.run (Rng.create 1) h ~k:1 with
@@ -997,5 +1009,7 @@ let () =
           qtest prop_nlevel_cache_through_uncontraction;
           Alcotest.test_case "primary2 8-way within bounds" `Quick
             test_nlevel_primary2_8way_bounds;
+          Alcotest.test_case "primary2 3-way polish moves" `Quick
+            test_nlevel_primary2_polish_stop;
         ] );
     ]

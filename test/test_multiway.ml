@@ -114,15 +114,15 @@ let test_max_passes () =
   let start = Kp.side_array (Kp.random (Rng.create 25) h ~k) in
   let passes ?max_passes () =
     let c = Gc.create (Kp.create h ~k start) in
-    fst
-      (Mw.refine ?max_passes ~max_gain:(H.max_weighted_degree h)
-         (Mw.create_arena ()) (Rng.create 26) (Kp.bounds h ~k)
-         (Gc.partition c)
-         {
-           Mw.gain = Gc.gain c;
-           move = (fun report v q -> Gc.move ~on_delta:report c v q);
-           undo = Gc.restore c;
-         })
+    (Mw.refine ?max_passes ~max_gain:(H.max_weighted_degree h)
+       (Mw.create_arena ()) (Rng.create 26) (Kp.bounds h ~k)
+       (Gc.partition c)
+       {
+         Mw.gain = Gc.gain c;
+         move = (fun report v q -> Gc.move ~on_delta:report c v q);
+         undo = Gc.restore c;
+       })
+      .Mw.passes
   in
   check Alcotest.int "single pass" 1 (passes ~max_passes:1 ());
   check Alcotest.bool "several uncapped" true (passes () > 1)

@@ -299,7 +299,19 @@ let test_kp_objectives () =
   check Alcotest.int "cut" 3 (Kp.cut kp);
   check Alcotest.int "sum of degrees" 4 (Kp.sum_degrees kp);
   check Alcotest.int "spans net2" 3 (Kp.spans kp 2);
-  check Alcotest.int "recomputed" 3 (Kp.recompute_cut kp)
+  check Alcotest.int "recomputed" 3 (Kp.recompute_cut kp);
+  check Alcotest.int "one-shot count" 3 (Kp.cut_of h ~k:3 [| 0; 0; 1; 1; 2 |]);
+  List.iter
+    (fun (what, k, side) ->
+      check Alcotest.bool what true
+        (match Kp.cut_of h ~k side with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      ("count rejects k < 2", 1, [| 0; 0; 0; 0; 0 |]);
+      ("count rejects length", 3, [| 0; 1 |]);
+      ("count rejects part >= k", 3, [| 0; 0; 1; 3; 2 |]);
+    ]
 
 let test_kp_move () =
   let h = sample () in
@@ -345,7 +357,9 @@ let prop_kp_incremental =
         (fun (m, p) -> Kp.move kp (m mod H.num_modules h) (p mod 4))
         moves;
       let fresh = Kp.create h ~k:4 (Kp.side_array kp) in
-      Kp.cut kp = Kp.cut fresh && Kp.sum_degrees kp = Kp.sum_degrees fresh)
+      Kp.cut kp = Kp.cut fresh
+      && Kp.sum_degrees kp = Kp.sum_degrees fresh
+      && Kp.cut_of h ~k:4 (Kp.side_array kp) = Kp.cut kp)
 
 let prop_kp_soed_dominates_cut =
   QCheck.Test.make ~name:"sum of degrees >= cut" ~count:50
