@@ -14,6 +14,7 @@ module Tables = Mlpart_experiments.Tables
 module Algos = Mlpart_experiments.Algos
 module Suite = Mlpart_gen.Suite
 module Rng = Mlpart_util.Rng
+module Hgr_io = Mlpart_hypergraph.Hgr_io
 
 let kernels ?json ~jobs () =
   (* Fail on an unwritable --json path up front, not after minutes of
@@ -31,6 +32,7 @@ let kernels ?json ~jobs () =
   let balu = h "balu" in
   let primary1 = h "primary1" in
   let primary2 = h "primary2" in
+  let primary2_hgr = Hgr_io.to_string primary2 in
   let rng = Rng.create 42 in
   (* Intra-run parallelism for the pipeline kernels; [None] at --jobs 1
      exercises the sequential paths.  Outputs are bit-identical either
@@ -115,6 +117,9 @@ let kernels ?json ~jobs () =
             (Mlpart_hypergraph.Hypergraph.induce ?pool primary1 cluster_of));
       kernel "substrate/gordian-cg" (fun () ->
           ignore (Mlpart_placement.Gordian.run balu));
+      (* Ingest kernel: strict parse of primary2 rendered as .hgr. *)
+      kernel "io/hgr-parse" (fun () ->
+          ignore (Hgr_io.parse_string ~mode:Hgr_io.Strict primary2_hgr));
     ]
   in
   (* Allocation per run, from a few runs of each kernel before the timing,

@@ -26,6 +26,7 @@ module Diag = Mlpart_util.Diag
 module Deadline = Mlpart_util.Deadline
 module Multistart = Mlpart_util.Multistart
 module Algos = Mlpart_experiments.Algos
+module Objective = Mlpart_partition.Objective
 module Trace = Mlpart_obs.Trace
 module Metrics = Mlpart_obs.Metrics
 module Json = Mlpart_obs.Json
@@ -210,13 +211,6 @@ let out_arg doc =
   Arg.(value & opt (some string) None
        & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-let write_assignment out side =
-  match out with
-  | None -> ()
-  | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          Array.iter (fun s -> Printf.fprintf oc "%d\n" s) side)
-
 (* The partitioning subcommands share one path: load the netlist, run the
    registry engine as the best of [runs] seeded starts, print, write the
    assignment, and flag an expired --timeout. *)
@@ -244,7 +238,7 @@ let partition ~input ~seed ~runs ~jobs ~tolerance ~lenient ~timeout ~out ~k
     else best None
   in
   print h side cut;
-  write_assignment out side;
+  Option.iter (fun path -> Objective.write_assignment path side) out;
   finish_timed_out deadline
     (Printf.sprintf "timed out after %d of %d run(s); best-so-far reported"
        completed (Stdlib.max 1 runs))
@@ -296,7 +290,10 @@ let quadrisect_cmd =
       let r = Mlpart_placement.Gordian.run h in
       Printf.printf "%s: GORDIAN 4-way cut %d, hpwl %.3f\n" (H.name h)
         r.Mlpart_placement.Gordian.cut r.Mlpart_placement.Gordian.hpwl;
-      write_assignment out r.Mlpart_placement.Gordian.side
+      Option.iter
+        (fun path ->
+          Objective.write_assignment path r.Mlpart_placement.Gordian.side)
+        out
     end
     else
       partition ~input ~seed ~runs ~jobs ~tolerance ~lenient ~timeout ~out ~k:4
@@ -450,7 +447,7 @@ let evaluate_cmd =
     obs_setup trace metrics;
     boundary @@ fun () ->
     let h = load_hypergraph ~lenient input seed in
-    let side = Mlpart_partition.Objective.read_assignment parts_path in
+    let side = Objective.read_assignment parts_path in
     (* malformed assignments are parse errors of the part file, with the
        offending line where one exists *)
     if Array.length side <> H.num_modules h then
@@ -467,8 +464,8 @@ let evaluate_cmd =
                [ Diag.error ~line:(v + 1) ~source:parts_path Diag.Bad_part
                    "part id %d of module %d is negative" p v ]))
       side;
-    let report = Mlpart_partition.Objective.evaluate h side in
-    Format.printf "%a@?" Mlpart_partition.Objective.pp report
+    let report = Objective.evaluate h side in
+    Format.printf "%a@?" Objective.pp report
   in
   let parts_arg =
     Arg.(required & pos 1 (some string) None

@@ -11,12 +11,19 @@
     [fmt] is omitted or one of [1] (net weights), [10] (module weights),
     [11] (both).
 
-    Parsing never raises on malformed bytes: the {!parse}-family entry
-    points return a [result] whose [Error] side is an ordered list of
-    typed diagnostics ({!Mlpart_util.Diag.t}), one per problem found —
+    Parsing never raises on malformed bytes: {!parse_string} and
+    {!parse_file} return a [result] whose [Error] side is an ordered list
+    of typed diagnostics ({!Mlpart_util.Diag.t}), one per problem found —
     strict mode scans the whole file and reports every issue, not just the
     first.  The legacy {!read_file}/{!of_string} wrappers parse strictly
-    and raise {!Mlpart_util.Diag.Mlpart_error} instead. *)
+    and raise {!Mlpart_util.Diag.Mlpart_error} instead.
+
+    Both entry points run one scan over the document's bytes.  Lines end
+    at ['\n'] and are trimmed as [String.trim] trims; blank and [%] lines
+    are skipped but counted, and the empty segment after a final ['\n'] is
+    no line, so a diagnostic names the same line number whether the bytes
+    came from a file or a string.  Tokens are split on [' '] only, and
+    each must be an integer as [int_of_string_opt] reads it. *)
 
 type mode =
   | Strict
@@ -38,13 +45,10 @@ type parsed = {
   warnings : Mlpart_util.Diag.t list;  (** ordered as encountered; empty in strict mode *)
 }
 
-val parse :
-  name:string -> mode:mode -> (unit -> string option) ->
-  (parsed, Mlpart_util.Diag.t list) result
-(** Parse from a line producer (the closure returns [None] at EOF). *)
-
 val parse_string :
   ?name:string -> mode:mode -> string -> (parsed, Mlpart_util.Diag.t list) result
+(** Parse a whole document; the hypergraph is named [name] (default [""],
+    and diagnostics then name their source [<hgr>]). *)
 
 val parse_file : mode:mode -> string -> (parsed, Mlpart_util.Diag.t list) result
 (** Parse from disk; the hypergraph is named after the file's basename.

@@ -244,11 +244,33 @@ let validate t =
 
 (* Validated construction: the unchecked build, then the first [validate]
    violation, if any, raised. *)
-let make ?name ~areas ~nets () =
-  let t = make_unchecked ?name ~areas ~nets () in
+let validated fname t =
   match validate t with
   | Ok () -> t
-  | Error ds -> invalid_arg ("Hypergraph.make: " ^ (List.hd ds).Diag.message)
+  | Error ds -> invalid_arg (fname ^ ": " ^ (List.hd ds).Diag.message)
+
+let make ?name ~areas ~nets () =
+  validated "Hypergraph.make" (make_unchecked ?name ~areas ~nets ())
+
+let of_csr ?name ~areas ~net_offsets ~net_pins ~net_weights () =
+  let n = Array.length areas and m = Array.length net_weights in
+  if
+    Array.length net_offsets <> m + 1
+    || net_offsets.(0) <> 0
+    || net_offsets.(m) <> Array.length net_pins
+  then invalid_arg "Hypergraph.of_csr: net offsets do not frame the pins";
+  for e = 0 to m - 1 do
+    if net_offsets.(e + 1) < net_offsets.(e) then
+      invalid_arg (Printf.sprintf "Hypergraph.of_csr: net %d ends before it starts" e);
+    for i = net_offsets.(e) to net_offsets.(e + 1) - 1 do
+      let v = net_pins.(i) in
+      if v < 0 || v >= n then
+        invalid_arg
+          (Printf.sprintf "Hypergraph.of_csr: net %d pin %d out of range" e v)
+    done
+  done;
+  validated "Hypergraph.of_csr"
+    (make_csr ?name ~areas ~net_offsets ~net_pins ~net_weights ())
 
 type repair_report = {
   dropped_nets : int;

@@ -144,6 +144,27 @@ val make_unchecked :
     ingestion and by tests of {!validate}/{!repair}; anything built this
     way must be repaired before reaching a partitioning engine. *)
 
+val of_csr :
+  ?name:string ->
+  areas:int array ->
+  net_offsets:int array ->
+  net_pins:int array ->
+  net_weights:int array ->
+  unit ->
+  t
+(** [of_csr ~areas ~net_offsets ~net_pins ~net_weights ()] builds a
+    hypergraph straight from its net-to-pins CSR: net [e]'s pins are
+    [net_pins.(net_offsets.(e) .. net_offsets.(e + 1) - 1)] and its weight
+    [net_weights.(e)].  The value keeps the three arrays and [areas], so
+    the caller must not write them afterwards.  Validated as {!make} is:
+    raises [Invalid_argument] when the offsets do not frame the pins, a pin
+    is out of range, or {!validate} finds a violation. *)
+
+val sort_ints : int array -> int -> int -> unit
+(** [sort_ints a lo len] sorts [a.(lo .. lo + len - 1)] ascending in place,
+    with no comparison closure: insertion sort for short runs, quicksort
+    above.  {!induce} sorts each coarse net's pins with it. *)
+
 val validate : t -> (unit, Mlpart_util.Diag.t list) result
 (** Check the engine-facing invariants ({!make} enforces them,
     {!make_unchecked} does not): positive areas and weights, every net

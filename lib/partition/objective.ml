@@ -79,5 +79,10 @@ let read_assignment path =
       raise (Diag.Mlpart_error [ Diag.of_sys_error ~source:path msg ])
 
 let write_assignment path side =
-  Out_channel.with_open_text path (fun oc ->
-      Array.iter (fun p -> Printf.fprintf oc "%d\n" p) side)
+  let buf = Buffer.create (2 * Array.length side) in
+  Array.iter
+    (fun p ->
+      Buffer.add_string buf (string_of_int p);
+      Buffer.add_char buf '\n')
+    side;
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf)

@@ -27,3 +27,6 @@ val read_assignment : string -> int array
     cannot be read. *)
 
 val write_assignment : string -> int array -> unit
+(** [write_assignment path side] writes one part id per line, the format
+    {!read_assignment} reads and every partitioning subcommand's [-o]
+    file holds. *)

@@ -1,11 +1,13 @@
 (* Deterministic I/O fuzzing: SplitMix64-driven valid, truncated and
    byte-mutated [.hgr] / [.netD] documents thrown at both parse modes.
 
-   The property under test is totality: every input either parses ([Ok])
-   or yields typed diagnostics ([Error]) — the parsers never raise, and in
-   lenient mode every successfully parsed hypergraph additionally passes
-   [Hypergraph.validate].  The case count is overridable through the
-   MLPART_FUZZ_CASES environment variable (CI runs a larger budget). *)
+   The properties under test are totality — every input either parses
+   ([Ok]) or yields typed diagnostics ([Error]), the parsers never raise,
+   and in lenient mode every successfully parsed hypergraph additionally
+   passes [Hypergraph.validate] — and, for [.hgr], agreement with the
+   list-based reference reader in [Hgr_reference].  The case count is
+   overridable through the MLPART_FUZZ_CASES environment variable (CI runs
+   a larger budget). *)
 
 module H = Mlpart_hypergraph.Hypergraph
 module Hgr_io = Mlpart_hypergraph.Hgr_io
@@ -178,6 +180,173 @@ let test_fuzz_netd () =
       [ Hgr_io.Strict; Hgr_io.Lenient ]
   done
 
+(* ---- differential fuzz against the reference reader ---- *)
+
+(* Tokens the scanner must read exactly as [int_of_string_opt] does: OCaml
+   literal syntax, leading zeros, a negative zero, 18 and 20 digits, 19
+   digits below and above [max_int], and whitespace other than ' ' inside
+   a token. *)
+let odd_tokens =
+  [| "0x1f"; "+3"; "1_0"; "007"; "-0"; "999999999999999999";
+     "1234567890123456789"; "9999999999999999999"; "12345678901234567890";
+     "1\t2"; "\t"; "\012"; "2\0123" |]
+
+(* A document in any fmt whose nets list pins in random order, with
+   repeats, some longer than the insertion-sort cutoff, and with comment
+   and blank lines here and there. *)
+let differential_doc rng =
+  let modules = 2 + Rng.int rng 40 in
+  let nets = Rng.int rng 12 in
+  let fmt = [| 0; 1; 10; 11 |].(Rng.int rng 4) in
+  let buf = Buffer.create 256 in
+  if Rng.int rng 4 = 0 then Buffer.add_string buf "% leading comment\n\n \t\n";
+  Printf.bprintf buf "%d %d" nets modules;
+  if fmt <> 0 || Rng.bool rng then Printf.bprintf buf " %d" fmt;
+  Buffer.add_char buf '\n';
+  for _ = 1 to nets do
+    if Rng.int rng 8 = 0 then
+      Buffer.add_string buf (if Rng.bool rng then "% between nets\n" else "   \n");
+    if fmt = 1 || fmt = 11 then Printf.bprintf buf "%d " (1 + Rng.int rng 5);
+    let size = if Rng.int rng 6 = 0 then 17 + Rng.int rng 24 else 2 + Rng.int rng 4 in
+    for i = 1 to size do
+      if i > 1 then Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int (1 + Rng.int rng modules))
+    done;
+    Buffer.add_char buf '\n'
+  done;
+  if fmt >= 10 then
+    for _ = 1 to modules do
+      Printf.bprintf buf "%d\n" (1 + Rng.int rng 9)
+    done;
+  Buffer.contents buf
+
+(* CRLF line ends, odd tokens at random places, then the byte-level
+   mutations of the totality fuzz. *)
+let flavour rng doc =
+  let doc =
+    if Rng.int rng 4 = 0 then
+      String.concat "\r\n" (String.split_on_char '\n' doc)
+    else doc
+  in
+  let rec splice doc times =
+    if times = 0 then doc
+    else begin
+      let at = Rng.int rng (String.length doc + 1) in
+      let tok = odd_tokens.(Rng.int rng (Array.length odd_tokens)) in
+      let sep = if Rng.bool rng then " " else "" in
+      splice
+        (String.sub doc 0 at ^ sep ^ tok ^ " "
+        ^ String.sub doc at (String.length doc - at))
+        (times - 1)
+    end
+  in
+  let doc = splice doc (Rng.int rng 3) in
+  let rec mutations doc times =
+    if times = 0 then doc else mutations (mutate rng doc) (times - 1)
+  in
+  mutations doc (Rng.int rng 3)
+
+(* Both readers allocate one area per declared module, so a case whose
+   header declares more than [max_declared] of anything is skipped. *)
+let max_declared = 100_000
+
+let declares_too_much doc =
+  let rec header = function
+    | [] -> []
+    | line :: rest ->
+        let line = String.trim line in
+        if line = "" || line.[0] = '%' then header rest
+        else
+          String.split_on_char ' ' line |> List.filter_map int_of_string_opt
+  in
+  List.exists
+    (fun v -> v > max_declared)
+    (header (String.split_on_char '\n' doc))
+
+let same_netlist a b =
+  let incidence h = Array.init (H.num_modules h) (H.nets_of h) in
+  H.name a = H.name b
+  && Array.init (H.num_modules a) (H.area a)
+     = Array.init (H.num_modules b) (H.area b)
+  && Array.init (H.num_nets a) (fun e -> (H.net_weight a e, H.pins_of a e))
+     = Array.init (H.num_nets b) (fun e -> (H.net_weight b e, H.pins_of b e))
+  && incidence a = incidence b
+
+let describe = function
+  | Ok { Hgr_io.hypergraph; warnings } ->
+      Format.asprintf "Ok (%a) [%s]" H.pp_summary hypergraph
+        (String.concat "; " (List.map Diag.to_string warnings))
+  | Error diags ->
+      Printf.sprintf "Error [%s]" (String.concat "; " (List.map Diag.to_string diags))
+
+let agree want got =
+  match (want, got) with
+  | Ok a, Ok b ->
+      same_netlist a.Hgr_io.hypergraph b.Hgr_io.hypergraph
+      && a.warnings = b.warnings
+  | Error a, Error b -> a = b
+  | _ -> false
+
+(* [parse_file] and [parse_string ~name] against the reference reading the
+   same bytes from a file, line by line, in both modes; returns whether the
+   case ran. *)
+let check_against_reference ~what ~path doc =
+  if declares_too_much doc then false
+  else begin
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc doc);
+    let name = Filename.remove_extension (Filename.basename path) in
+    List.iter
+      (fun mode ->
+        let want = Hgr_reference.parse_file ~mode path in
+        List.iter
+          (fun (entry, parse) ->
+            let got =
+              match parse () with
+              | got -> got
+              | exception e ->
+                  Alcotest.failf "%s %S (%s, %s): raised %s" what doc entry
+                    (mode_name mode) (Printexc.to_string e)
+            in
+            if not (agree want got) then
+              Alcotest.failf "%s %S (%s, %s):\nreference %s\nscanner   %s"
+                what doc entry (mode_name mode) (describe want) (describe got))
+          [
+            ("parse_file", fun () -> Hgr_io.parse_file ~mode path);
+            ("parse_string", fun () -> Hgr_io.parse_string ~name ~mode doc);
+          ])
+      [ Hgr_io.Strict; Hgr_io.Lenient ];
+    true
+  end
+
+let test_differential_hgr () =
+  let rng = Rng.create 0x44494646 (* "DIFF" *) in
+  let path = Filename.temp_file "mlpart_fuzz" ".hgr" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let ran = ref 0 in
+      for case = 1 to cases do
+        let doc =
+          if Rng.bool rng then differential_doc rng else random_hgr_doc rng
+        in
+        if
+          check_against_reference
+            ~what:(Printf.sprintf "case %d" case)
+            ~path (flavour rng doc)
+        then incr ran
+      done;
+      (* edge documents: empty, blank, header only, no final newline *)
+      List.iter
+        (fun doc -> ignore (check_against_reference ~what:"edge" ~path doc))
+        [ ""; "\n"; "\n\n"; " \r\n"; "%"; "% only\n"; "2 3"; "2 3\n";
+          "2 3\n1 2"; "2 3\n1 2\n"; "2 3\n1 2\n\n"; "1 2\r\n1 2\r\n";
+          "1 2 1\n\t0 1 2\n"; "1 3 10\n1 2\n1\n"; "1 2\n1\t2\n";
+          "1 2 11\n3 1 2\n4\n5 5\n" ];
+      Alcotest.(check bool)
+        (Printf.sprintf "most cases run (%d of %d)" !ran cases)
+        true
+        (!ran * 10 >= cases * 9))
+
 (* ---- round-trip property ---- *)
 
 let same_hypergraph a b =
@@ -260,7 +429,23 @@ let test_corpus () =
         | exception e ->
             Alcotest.failf "%s: raised %s" file (Printexc.to_string e));
         assert_total ~what:file ~mode:Hgr_io.Lenient (fun () ->
-            Hgr_io.parse_file ~mode:Hgr_io.Lenient path)
+            Hgr_io.parse_file ~mode:Hgr_io.Lenient path);
+        (* the bytes read as a string give exactly the file's answer, and
+           both give the reference's *)
+        let bytes = In_channel.with_open_bin path In_channel.input_all in
+        let name = Filename.remove_extension file in
+        List.iter
+          (fun mode ->
+            let from_file = Hgr_io.parse_file ~mode path in
+            let from_string = Hgr_io.parse_string ~name ~mode bytes in
+            if not (agree from_file from_string) then
+              Alcotest.failf "%s (%s): parse_string %s, parse_file %s" file
+                (mode_name mode) (describe from_string) (describe from_file);
+            let want = Hgr_reference.parse_file ~mode path in
+            if not (agree want from_file) then
+              Alcotest.failf "%s (%s): reference %s, parse_file %s" file
+                (mode_name mode) (describe want) (describe from_file))
+          [ Hgr_io.Strict; Hgr_io.Lenient ]
       end
       else if Filename.check_suffix file ".netD" then begin
         incr netd;
@@ -284,6 +469,8 @@ let () =
         [
           Alcotest.test_case "hgr totality" `Quick test_fuzz_hgr;
           Alcotest.test_case "netd totality" `Quick test_fuzz_netd;
+          Alcotest.test_case "hgr matches reference" `Quick
+            test_differential_hgr;
         ] );
       ( "roundtrip",
         [

@@ -161,6 +161,99 @@ let prop_consistent_both_objectives =
       let r = Mw.run ~config (Rng.create (seed + 20)) h ~k in
       r.Mw.cut = Mw.cut_of h ~k r.Mw.side && balanced h k r.Mw.side)
 
+(* ---- parallel nets ----
+
+   The n-level engine merges nets with the same pin set in its coarse
+   snapshot before its initial Multiway starts, and answers exactly as
+   without the merge: both gains are sums of per-net terms linear in the
+   weight, and a move visits a module's nets in reverse net order, so the
+   first copy of a net makes the last bucket adjustment.  The merge below
+   keeps each first occurrence's pin order, as the snapshot's does; one
+   that sorted the pins would change the LIFO order and test nothing. *)
+
+(* Eight adversarial netlists side by side, joined by a few 2-pin nets,
+   whose nets, in shuffled pin order, come with up to two copies each in
+   other pin orders, all in shuffled net order. *)
+let with_parallel_nets seed =
+  let module Gen = Mlpart_check.Gen in
+  let module Hgen = Mlpart_check.Hgen in
+  let rng = Rng.create seed in
+  let specs = List.init 8 (fun _ -> Gen.root Hgen.instance ~size:14 rng) in
+  let offsets =
+    List.fold_left (fun acc s -> (List.hd acc + Hgen.num_modules s) :: acc) [ 0 ] specs
+    |> List.rev
+  in
+  let n = List.nth offsets 8 in
+  let nets =
+    List.concat
+      (List.mapi
+         (fun i s ->
+           let o = List.nth offsets i in
+           List.map
+             (fun (pins, w) -> (Array.map (fun v -> v + o) pins, w))
+             (Array.to_list s.Hgen.nets))
+         specs)
+    @ List.init 8 (fun _ ->
+          let a = Rng.int rng n in
+          ([| a; (a + 1 + Rng.int rng (n - 1)) mod n |], 1))
+  in
+  let shuffled pins =
+    let p = Array.copy pins in
+    Rng.shuffle_in_place rng p;
+    p
+  in
+  let nets =
+    List.concat_map
+      (fun (pins, w) ->
+        (shuffled pins, w)
+        :: List.init (Rng.int rng 3) (fun _ -> (shuffled pins, 1 + Rng.int rng 3)))
+      nets
+    |> Array.of_list
+  in
+  Rng.shuffle_in_place rng nets;
+  H.make ~areas:(Array.concat (List.map (fun s -> s.Hgen.areas) specs)) ~nets ()
+
+let merge_parallel h =
+  let first = Hashtbl.create 16 and kept = ref [] in
+  for e = 0 to H.num_nets h - 1 do
+    let pins = H.pins_of h e in
+    let key = Array.copy pins in
+    Array.sort Int.compare key;
+    match Hashtbl.find_opt first key with
+    | Some w -> w := !w + H.net_weight h e
+    | None ->
+        let w = ref (H.net_weight h e) in
+        Hashtbl.add first key w;
+        kept := (pins, w) :: !kept
+  done;
+  H.make
+    ~areas:(Array.init (H.num_modules h) (H.area h))
+    ~nets:(Array.of_list (List.rev_map (fun (pins, w) -> (pins, !w)) !kept))
+    ()
+
+(* Pin order changes an answer only now and then (a merge that sorted the
+   pins, or kept the last copy's order, changed 13 and 6 of these 600
+   runs), so the seeds are fixed and many. *)
+let test_parallel_nets_merge () =
+  for seed = 0 to 99 do
+    let h = with_parallel_nets seed in
+    let merged = merge_parallel h in
+    check Alcotest.bool "has parallel nets" true (H.num_nets merged < H.num_nets h);
+    List.iter
+      (fun k ->
+        List.iter
+          (fun objective ->
+            let config = { Mw.default with objective } in
+            let a = Mw.run ~config (Rng.create (seed + 7)) h ~k in
+            let b = Mw.run ~config (Rng.create (seed + 7)) merged ~k in
+            let what = Printf.sprintf "seed %d k=%d" seed k in
+            check Alcotest.(array int) (what ^ " side") a.Mw.side b.Mw.side;
+            check Alcotest.int (what ^ " cut") a.Mw.cut b.Mw.cut;
+            check Alcotest.int (what ^ " soed") a.Mw.sum_degrees b.Mw.sum_degrees)
+          [ Mw.Net_cut; Mw.Sum_degrees ])
+      [ 2; 3; 4 ]
+  done
+
 (* ---- k-way golden answers ----
 
    The cut and a side checksum of Multiway, Ml_multiway and Nlevel answers
@@ -349,6 +442,8 @@ let () =
           Alcotest.test_case "custom quadratic objective" `Quick
             test_custom_objective_quadratic;
           qtest prop_consistent_both_objectives;
+          Alcotest.test_case "merged parallel nets, same answer" `Quick
+            test_parallel_nets_merge;
           Alcotest.test_case "k-way golden answers" `Quick test_kway_golden;
         ] );
     ]
