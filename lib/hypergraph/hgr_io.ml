@@ -11,8 +11,9 @@ exception Fatal of Diag.t
    without one counts, the empty segment after a final '\n' does not, as
    [In_channel.input_line] reads a file.  [next_line] skips blank and '%'
    lines, counting them, and leaves the next line's content, trimmed as
-   [String.trim] trims, in [lo, hi).  Tokens are the runs of that content
-   between ' ' characters; [next_token] puts the next one in [ta, tb). *)
+   [String.trim] trims, ending at [hi].  Tokens are the runs of that
+   content between ' ' characters; [next_token] puts the next one in
+   [ta, tb). *)
 type cursor = {
   s : string;
   mutable pos : int;  (** start of the first unread line *)
