@@ -74,22 +74,22 @@ let token c = String.sub c.s c.ta (c.tb - c.ta)
    place.  Every other one ([+3], [0x1f], [1_0], longer digit runs) goes
    through [int_of_string_opt], so OCaml's literal syntax and overflow
    rules decide it as they always have. *)
+let literal_token c =
+  match int_of_string_opt (token c) with
+  | Some v ->
+      c.value <- v;
+      true
+  | None -> false
+
 let int_token c =
-  let slow () =
-    match int_of_string_opt (token c) with
-    | Some v ->
-        c.value <- v;
-        true
-    | None -> false
-  in
-  if c.tb - c.ta > 18 then slow ()
+  if c.tb - c.ta > 18 then literal_token c
   else begin
     let v = ref 0 and i = ref c.ta in
     while !i < c.tb && c.s.[!i] >= '0' && c.s.[!i] <= '9' do
       v := (!v * 10) + Char.code c.s.[!i] - Char.code '0';
       incr i
     done;
-    if !i < c.tb then slow ()
+    if !i < c.tb then literal_token c
     else begin
       c.value <- !v;
       true
