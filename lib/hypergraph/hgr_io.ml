@@ -69,11 +69,6 @@ let next_token c =
 
 let token c = String.sub c.s c.ta (c.tb - c.ta)
 
-(* Read the current token into [value]; false when it is no integer.  A
-   token of at most 18 ASCII digits, which cannot overflow, is read in
-   place.  Every other one ([+3], [0x1f], [1_0], longer digit runs) goes
-   through [int_of_string_opt], so OCaml's literal syntax and overflow
-   rules decide it as they always have. *)
 let literal_token c =
   match int_of_string_opt (token c) with
   | Some v ->
@@ -81,6 +76,11 @@ let literal_token c =
       true
   | None -> false
 
+(* Read the current token into [value]; false when it is no integer.  A
+   token of at most 18 ASCII digits, which cannot overflow, is read in
+   place.  Every other one ([+3], [0x1f], [1_0], longer digit runs) goes
+   through [int_of_string_opt], so OCaml's literal syntax and overflow
+   rules decide it as they always have. *)
 let int_token c =
   if c.tb - c.ta > 18 then literal_token c
   else begin
